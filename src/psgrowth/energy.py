@@ -89,16 +89,45 @@ def displacement_at(space: ActionSpace, U: ElementSet, x) -> Fraction:
     return max(space.dist(x, space.act(u, x)) for u in U)
 
 
-def _descent_candidates(space: ActionSpace, U: ElementSet, x) -> list:
-    """First vertices of the geodesics toward the orbit points; moving in
-    any other direction increases every distance term."""
-    seen = {}
-    for u in U:
-        ux = space.act(u, x)
-        if ux != x:
-            step = space.geodesic(x, ux)[1]
-            seen.setdefault(space.point_key(step), step)
-    return [seen[k] for k in sorted(seen)]
+def _descend(space: ActionSpace, U: ElementSet, x) -> tuple:
+    """Steepest descent over tree vertices from x, one pass over U a step.
+
+    Only the first steps toward the orbit points u x != x can lower the
+    energy.  The pass reads, for every u, the displacement d(x, ux) and the
+    first edges of [x, ux] and [x, u^-1 x]; the energy at each neighbour y
+    then follows from counts, since with edge length rho
+        d(y, uy) = d(x, ux) + 2 rho - 2 rho [y on [x, ux]] - 2 rho [y on [x, u^-1 x]]
+    when u moves x, d(y, uy) = 2 rho when u != 1 fixes x, and 0 when u = 1
+    (neither tree action has inversions or nontrivial edge stabilisers).
+    Moves to the strictly lower neighbour of least (energy, point_key).
+    Returns (vertex, energy, displacement, steps)."""
+    steps = 0
+    while True:
+        total = widest = 0
+        bump = 0  # sum over u != 1 of the +2 steps at a neighbour
+        hits: dict = {}  # first edge label -> geodesics [x, ux], [x, u^-1 x] on it
+        toward: dict = {}  # first edge label of some [x, ux] -> that u
+        for u in U:
+            out, back = space.orbit_labels(u, x)
+            if out:
+                total += len(out)
+                widest = max(widest, len(out))
+                hits[out[0]] = hits.get(out[0], 0) + 1
+                hits[back[0]] = hits.get(back[0], 0) + 1
+                toward.setdefault(out[0], u)
+            if not u.is_identity:
+                bump += 2
+        current = Fraction(total) * space.rho0 / len(U)
+        options = []
+        for label, u in toward.items():
+            val = Fraction(total + bump - 2 * hits[label]) * space.rho0 / len(U)
+            if val < current:
+                cand = space.point_at(x, space.act(u, x), 1)
+                options.append((val, space.point_key(cand), cand))
+        if not options:
+            return x, current, widest * space.rho0, steps
+        _, _, x = min(options)
+        steps += 1
 
 
 def minimize_energy(
@@ -110,30 +139,20 @@ def minimize_energy(
         raise ValueError("U must be nonempty")
 
     if isinstance(space, FiniteHypGraph):
-        best = min(
+        x = min(
             range(space.n), key=lambda v: (energy_at(space, U, v), space.point_key(v))
         )
-        x, steps = best, 0
-    else:
-        x = space.basepoint() if start is None else start
-        current = energy_at(space, U, x)
+        energy, displacement = energy_at(space, U, x), displacement_at(space, U, x)
         steps = 0
-        while True:
-            options = []
-            for cand in _descent_candidates(space, U, x):
-                val = energy_at(space, U, cand)
-                if val < current:
-                    options.append((val, space.point_key(cand), cand))
-            if not options:
-                break
-            _, _, x = min(options)
-            current = min(options)[0]
-            steps += 1
+    else:
+        x, energy, displacement, steps = _descend(
+            space, U, space.basepoint() if start is None else start
+        )
 
     return EnergyProfile(
         base_point=x,
-        energy=energy_at(space, U, x),
-        displacement=displacement_at(space, U, x),
+        energy=energy,
+        displacement=displacement,
         d_factor=d_factor(space, U, mode),
         mode_name=mode.name,
         descent_steps=steps,

@@ -3,14 +3,15 @@ base point: sphere-peeling recursion on trees, sphere-pair search on
 bounded-geometry graphs, and the tree-approximation route for delta > 0.
 
 A certified result is never trusted from the construction: every returned
-pair of sets is rechecked exhaustively against its tolerance, and the
-maximal cross Gromov products are recorded in the result.
+pair of sets is rechecked against its tolerance through the exact maxima of
+its cross Gromov products over all pairs, which are recorded in the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .energy import energy_at
@@ -81,50 +82,45 @@ def _failed(ctx, tolerance, reason, **counts) -> ReductionResult:
     )
 
 
-def _geodesic_keys(space, x0, point) -> tuple:
-    return tuple(space.point_key(p) for p in space.geodesic(x0, point))
-
-
-def _common_prefix_edges(a: tuple, b: tuple) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i - 1  # shared vertices minus one = shared edges
+def _max_shared_prefix(left: list, right: list) -> int:
+    """The longest common prefix of a sequence from `left` and one from
+    `right`.  In lexicographic order the common prefix of two sequences is
+    the shortest common prefix of the adjacent pairs between them, so the
+    maximum is attained by adjacent sequences from different sides."""
+    merged = sorted([(s, 0) for s in left] + [(s, 1) for s in right])
+    best = 0
+    for (a, side_a), (b, side_b) in zip(merged, merged[1:]):
+        if side_a != side_b:
+            n = 0
+            for p, q in zip(a, b):
+                if p != q:
+                    break
+                n += 1
+            best = max(best, n)
+    return best
 
 
 def certify_cross_products(
     space: ActionSpace, U1: ElementSet, U2: ElementSet, x0, tol: Fraction
 ) -> tuple[bool, dict]:
-    """Exhaustive per-pair recheck of both families of cross Gromov
-    products ((u1^-1 x0, u2 x0)_{x0} and (u2^-1 x0, u1 x0)_{x0}).
+    """The exact maxima of both families of cross Gromov products,
+    (u1^-1 x0, u2 x0)_{x0} and (u2^-1 x0, u1 x0)_{x0}, and whether both are
+    at most tol.
 
-    On tree backends the product of two points at the common base equals
-    the length of the shared initial segment of their geodesics, so each
-    pair costs a prefix comparison of the precomputed vertex paths; the
-    generic three-distance formula is used elsewhere and serves as the
-    oracle for this fast path in the tests."""
+    On tree backends the product of two points at the common base is the
+    number of edges their geodesics from x0 share, which is the common
+    prefix of their edge labels (`orbit_labels`).  Each family's maximum is
+    then read from neighbours in one sorted order of its labels, in
+    O(k log k) for k elements, rather than pair by pair.  Elsewhere every
+    pair is compared through the three-distance formula, which is also the
+    test oracle for the tree path."""
     if isinstance(space, (FreeGroupTree, FreeProductTree)):
-        inv_path_1 = [_geodesic_keys(space, x0, space.act(u.inverse(), x0)) for u in U1]
-        inv_path_2 = [_geodesic_keys(space, x0, space.act(v.inverse(), x0)) for v in U2]
-        path_1 = [_geodesic_keys(space, x0, space.act(u, x0)) for u in U1]
-        path_2 = [_geodesic_keys(space, x0, space.act(v, x0)) for v in U2]
-        m1 = max(
-            (
-                _common_prefix_edges(a, b)
-                for a in inv_path_1
-                for b in path_2
-            ),
-            default=0,
-        )
-        m2 = max(
-            (
-                _common_prefix_edges(a, b)
-                for a in inv_path_2
-                for b in path_1
-            ),
-            default=0,
-        )
+        labels: dict = {}
+        for u in chain(U1, U2):
+            if u not in labels:
+                labels[u] = space.orbit_labels(u, x0)
+        m1 = _max_shared_prefix([labels[u][1] for u in U1], [labels[v][0] for v in U2])
+        m2 = _max_shared_prefix([labels[v][1] for v in U2], [labels[u][0] for u in U1])
         maxima = {
             "u1_inv_vs_u2": m1 * space.rho0,
             "u2_inv_vs_u1": m2 * space.rho0,
@@ -156,18 +152,20 @@ def certify_cross_products(
     return ok, maxima
 
 
-def _entry_points(space, U, x0, r_steps):
-    """For each qualifying u: the sphere points where the geodesics
-    [x0, u x0] and [x0, u^-1 x0] cross radius r."""
-    out = {}
-    for u in U:
-        ux = space.act(u, x0)
-        vx = space.act(u.inverse(), x0)
-        out[u] = (
-            space.geodesic(x0, ux)[r_steps],
-            space.geodesic(x0, vx)[r_steps],
-        )
-    return out
+def _entry_points(space, labels: dict, x0, r_steps):
+    """For each qualifying u, given its `orbit_labels` at x0: the sphere
+    points where the geodesics [x0, u x0] and [x0, u^-1 x0] cross radius r.
+    Two geodesics from x0 cross it at the same point exactly when their
+    first r edge labels agree, so each point is built once."""
+    points: dict = {}
+
+    def at(path_labels, g):
+        prefix = path_labels[:r_steps]
+        if prefix not in points:
+            points[prefix] = space.point_at(x0, space.act(g, x0), r_steps)
+        return points[prefix]
+
+    return {u: (at(out, u), at(back, u.inverse())) for u, (out, back) in labels.items()}
 
 
 def _peel(space, qualifying, entry, U_size):
@@ -244,9 +242,9 @@ def reduce_tree(
     floor = (
         4 * r if hypothesis_displacement is None else Fraction(hypothesis_displacement)
     )
-    above_floor = sum(
-        1 for u in U if space.dist(x0, space.act(u, x0)) >= floor
-    )
+    labels = {u: space.orbit_labels(u, x0) for u in U}
+    moved = {u: len(out) * space.rho0 for u, (out, _) in labels.items()}
+    above_floor = sum(1 for d in moved.values() if d >= floor)
     if 4 * above_floor < 3 * len(U):
         return _failed(
             ctx,
@@ -255,12 +253,12 @@ def reduce_tree(
             above_floor=above_floor,
             total=len(U),
         )
-    qualifying = [u for u in U if space.dist(x0, space.act(u, x0)) >= 4 * r]
+    qualifying = [u for u in U if moved[u] >= 4 * r]
     discarded = len(U) - len(qualifying)
     if not qualifying:
         return _failed(ctx, r, "NothingAboveFourR", total=len(U))
 
-    entry = _entry_points(space, qualifying, x0, r_steps)
+    entry = _entry_points(space, {u: labels[u] for u in qualifying}, x0, r_steps)
 
     # minimal-energy sanity: no single sphere point dominates both sides
     per_point: dict = {}
@@ -539,20 +537,22 @@ def median_split(
     if len(U1) == 0 or len(U2) == 0:
         raise ValueError("median_split needs nonempty inputs")
 
-    def disp(u):
-        return space.dist(x0, space.act(u, x0))
+    disp: dict = {}
+    for u in chain(U1, U2):
+        if u not in disp:
+            disp[u] = space.dist(x0, space.act(u, x0))
 
     def median(values):
         vals = sorted(values)
         return vals[(len(vals) - 1) // 2]
 
-    m1 = median(disp(u) for u in U1)
-    m2 = median(disp(u) for u in U2)
+    m1 = median(disp[u] for u in U1)
+    m2 = median(disp[u] for u in U2)
     ctx = U1.context
     if m1 <= m2:
-        out1 = ElementSet(ctx, [u for u in U1 if disp(u) <= m1])
-        out2 = ElementSet(ctx, [u for u in U2 if disp(u) >= m2])
+        out1 = ElementSet(ctx, [u for u in U1 if disp[u] <= m1])
+        out2 = ElementSet(ctx, [u for u in U2 if disp[u] >= m2])
     else:
-        out1 = ElementSet(ctx, [u for u in U1 if disp(u) <= m1])
-        out2 = ElementSet(ctx, [u for u in U1 if disp(u) >= m1])
+        out1 = ElementSet(ctx, [u for u in U1 if disp[u] <= m1])
+        out2 = ElementSet(ctx, [u for u in U1 if disp[u] >= m1])
     return out1, out2

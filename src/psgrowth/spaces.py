@@ -31,6 +31,16 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+# Bass-Serre edge label of a step that changes only the vertex tag; it
+# sorts with the (generator, exponent) syllable labels.
+TAG_STEP = (-1, 0)
+
+
+def _check_steps(k: int, length: int) -> None:
+    if not 0 <= k <= length:
+        raise ValueError(f"no vertex {k} edges along a geodesic of {length} edges")
+
+
 class ActionSpace:
     """Common interface of the metric backends."""
 
@@ -114,6 +124,27 @@ class FreeGroupTree(ActionSpace):
             cur = cur * GroupElement(self.context, ((g, s),))
             points.append(cur)
         return points
+
+    def point_at(self, x, y, k: int) -> GroupElement:
+        """`geodesic(x, y)[k]`, without building the rest of the geodesic."""
+        w = x.inverse() * y
+        _check_steps(k, w.word_length())
+        prefix = []
+        for g, e in w.syllables:
+            if k == 0:
+                break
+            take = min(k, abs(e))
+            prefix.append((g, take if e > 0 else -take))
+            k -= take
+        return x * GroupElement(self.context, tuple(prefix))
+
+    def orbit_labels(self, g: GroupElement, x) -> tuple[tuple, tuple]:
+        """Edge labels of [x, g x] and of [x, g^-1 x], from the one
+        conjugate x^-1 g x: its letters, and the inverses of its letters
+        in reverse order.  Two geodesics from x share exactly k edges when
+        their labels share a prefix of length k."""
+        labels = tuple((x.inverse() * g * x).letters())
+        return labels, tuple((h, -s) for h, s in reversed(labels))
 
     def sphere(self, x, r, scope: Optional[Sequence] = None, cap: int = 200_000) -> list:
         k = self.steps(r)
@@ -261,6 +292,45 @@ class FreeProductTree(ActionSpace):
             points.append(self.vertex(prefix, y[1]))
         assert points[-1] == y, "geodesic endpoint mismatch"
         return points
+
+    def point_at(self, x, y, k: int):
+        """`geodesic(x, y)[k]`, without building the rest of the geodesic."""
+        self.check_point(x)
+        self.check_point(y)
+        w = x[0].inverse() * y[0]
+        if w.syllables and w.syllables[-1][0] == y[1]:
+            w = GroupElement(self.context, w.syllables[:-1])
+        _check_steps(k, self._edge_steps(x[1], w, y[1]))
+        side = x[1]
+        idx, syllables = 0, w.syllables
+        for _ in range(k):
+            if idx < len(syllables) and syllables[idx][0] == side:
+                idx += 1
+            side = 1 - side
+        return self.vertex(x[0] * GroupElement(self.context, syllables[:idx]), side)
+
+    def orbit_labels(self, g: GroupElement, x) -> tuple[tuple, tuple]:
+        """Edge labels of [x, g x] and of [x, g^-1 x], from the one
+        conjugate c = w^-1 g w, where x = (w, tag).  An edge is labelled by
+        the syllable it consumes, or by `TAG_STEP` when it only changes the
+        tag.  Two geodesics from x share exactly k edges when their labels
+        share a prefix of length k."""
+        w, tag = x
+        c = w.inverse() * g * w
+        return self._labels_from_base(c, tag), self._labels_from_base(c.inverse(), tag)
+
+    @staticmethod
+    def _labels_from_base(c: GroupElement, tag: int) -> tuple:
+        """Edge labels of [(1, tag), (c, tag)]: the syllables of the coset
+        representative, after one tag-only edge when the first syllable lies
+        in the other factor (normal forms alternate factors, so no other
+        edge is tag-only)."""
+        syllables = c.syllables
+        if syllables and syllables[-1][0] == tag:
+            syllables = syllables[:-1]
+        if syllables and syllables[0][0] != tag:
+            return (TAG_STEP,) + syllables
+        return syllables
 
     def sphere(self, x, r, scope: Optional[Sequence] = None) -> list:
         if scope is None:
@@ -473,7 +543,10 @@ def estimate_delta(space: FiniteHypGraph) -> Fraction:
     if not isinstance(space, FiniteHypGraph):
         raise ValueError("estimate_delta is defined for finite graph backends")
     value = space._four_point_delta()
-    assert value == space.delta
+    if value != space.delta:
+        raise RuntimeError(
+            f"stored delta {space.delta} differs from the recomputed {value}"
+        )
     return value
 
 

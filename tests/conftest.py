@@ -21,6 +21,10 @@ def z2z3_tree():
     return FreeProductTree((2, 3))
 
 
+# the two tree backends, for Hypothesis tests that draw one by name
+TREES = {"F2": FreeGroupTree(2), "Z5*Z7": FreeProductTree((5, 7))}
+
+
 def make_random_connected_graph(rng: random.Random, n_max: int = 40):
     """Random connected graph: a random spanning tree plus extra edges."""
     n = rng.randint(4, n_max)

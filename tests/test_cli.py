@@ -17,6 +17,14 @@ GROWTH_CFG = {
 }
 
 
+def child_pythonpath() -> str:
+    """PYTHONPATH for a child interpreter: the directory this process
+    imported psgrowth from, then any inherited PYTHONPATH, so the child
+    imports the same psgrowth whether or not the package is installed."""
+    import_root = str(Path(psgrowth.__file__).resolve().parent.parent)
+    return os.pathsep.join(filter(None, [import_root, os.environ.get("PYTHONPATH")]))
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -175,6 +183,7 @@ def test_installed_entry_point(tmp_path):
         [sys.executable, "-m", "psgrowth.cli", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=child_pythonpath()),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").exists()
@@ -185,10 +194,7 @@ def test_cross_process_determinism(tmp_path):
     # depend on set iteration order anywhere
     cfg = dict(GROWTH_CFG, set={"kind": "random", "count": 40, "max_length": 7})
     p = write_cfg(tmp_path, cfg)
-    # the child must import the same psgrowth as this process, whether or
-    # not the package is installed
-    import_root = str(Path(psgrowth.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [import_root, os.environ.get("PYTHONPATH")]))
+    pythonpath = child_pythonpath()
     blobs = []
     for i, seed in enumerate(("1", "77")):
         out = tmp_path / f"run{i}"

@@ -2,12 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from psgrowth.energy import Case, Mode, classify, energy_at, minimize_energy
+from psgrowth.energy import (
+    Case,
+    Mode,
+    classify,
+    displacement_at,
+    energy_at,
+    minimize_energy,
+)
 from psgrowth.spaces import cycle_graph
 from psgrowth.words import ElementSet, safin_family
 
-from conftest import random_reduced_word, w
+from conftest import TREES, random_reduced_word, w
 
 
 def eset(space, *texts):
@@ -82,6 +91,71 @@ def test_minimize_energy_beats_probes(f2_tree):
         )
         for x in hull:
             assert prof.energy <= energy_at(f2_tree, U, x)
+
+
+def geodesic_descent(space, U, x):
+    """Steepest descent as first written, kept as the oracle: candidates are
+    the first vertices of the geodesics toward the points ux != x, and
+    every candidate's energy is recomputed from its definition."""
+    current = energy_at(space, U, x)
+    steps = 0
+    while True:
+        seen = {}
+        for u in U:
+            ux = space.act(u, x)
+            if ux != x:
+                step = space.geodesic(x, ux)[1]
+                seen.setdefault(space.point_key(step), step)
+        options = []
+        for key in sorted(seen):
+            val = energy_at(space, U, seen[key])
+            if val < current:
+                options.append((val, key, seen[key]))
+        if not options:
+            return x, energy_at(space, U, x), displacement_at(space, U, x), steps
+        current, _, x = min(options)
+        steps += 1
+
+
+WORD = st.text(alphabet="abAB", max_size=8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    tree=st.sampled_from(sorted(TREES)),
+    texts=st.lists(WORD, min_size=1, max_size=8),
+    shift=WORD,
+    start=WORD,
+    extras=st.sets(st.sampled_from(["identity", "elliptic", "short"])),
+)
+@example(tree="F2", texts=["ab", "abb"], shift="a", start="", extras=set())
+@example(tree="Z5*Z7", texts=["1"], shift="", start="ba", extras={"elliptic"})
+@example(tree="Z5*Z7", texts=["ab"], shift="ba", start="b", extras={"identity", "short"})
+@example(tree="F2", texts=["aab"], shift="bA", start="Ab", extras={"identity", "short"})
+def test_descent_matches_geodesic_oracle(tree, texts, shift, start, extras):
+    # the counting descent must reproduce the geodesic descent exactly:
+    # the same base point, energy, displacement and number of steps
+    space = TREES[tree]
+    ctx = space.context
+    h = w(space, shift)
+    members = [w(space, t).conjugate_by(h) for t in texts]
+    x = space.act(w(space, start), space.basepoint())
+    if "identity" in extras:
+        members.append(ctx.identity())
+    if "elliptic" in extras:  # fixes the vertex h * (1, 0) of the Bass-Serre tree
+        members.append((ctx.generator(0) ** 2).conjugate_by(h))
+    if "short" in extras:
+        # moves x one edge (F2), or two edges through a tag-1 vertex (Bass-Serre)
+        corner = x if tree == "F2" else x[0]
+        members.append(ctx.generator(1).conjugate_by(corner))
+    U = ElementSet(ctx, members)
+    prof = minimize_energy(space, U, start=x if start else None)
+    assert (
+        prof.base_point,
+        prof.energy,
+        prof.displacement,
+        prof.descent_steps,
+    ) == geodesic_descent(space, U, x)
 
 
 def test_minimize_energy_graph_exhaustive():

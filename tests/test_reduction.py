@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psgrowth.energy import minimize_energy
 from psgrowth.reduction import (
@@ -15,7 +17,7 @@ from psgrowth.reduction import (
 from psgrowth.spaces import FiniteHypGraph
 from psgrowth.words import ElementSet, safin_family
 
-from conftest import random_reduced_word, w
+from conftest import TREES, random_reduced_word, w
 
 
 def eset(space, *texts):
@@ -309,35 +311,67 @@ def test_minimal_energy_lemma_property(f2_tree):
             assert 3 * mass <= 2 * len(U)
 
 
-def test_certify_fast_path_matches_generic_oracle(f2_tree, z5z7_tree):
-    # the prefix-comparison fast path must agree with the three-distance
-    # Gromov product formula pair by pair
-    rng = random.Random(66)
-    for space in (f2_tree, z5z7_tree):
-        for trial in range(6):
-            if space is f2_tree:
-                U1 = random_diffuse_set(rng, space.context, 6, 1, 6)
-                U2 = random_diffuse_set(rng, space.context, 6, 1, 6)
-                x0 = random_reduced_word(rng, space.context, rng.randint(0, 3))
-            else:
-                words = ["ab", "ba", "aabb", "abab", "bbba", "babab", "aab"]
-                U1 = ElementSet(space.context, {w(space, s) for s in rng.sample(words, 4)})
-                U2 = ElementSet(space.context, {w(space, s) for s in rng.sample(words, 4)})
-                x0 = space.basepoint()
-            _, maxima = certify_cross_products(space, U1, U2, x0, 0)
-            expect_1 = max(
-                space.gromov_product(
-                    space.act(u.inverse(), x0), space.act(v, x0), x0
-                )
-                for u in U1
-                for v in U2
-            )
-            expect_2 = max(
-                space.gromov_product(
-                    space.act(v.inverse(), x0), space.act(u, x0), x0
-                )
-                for u in U1
-                for v in U2
-            )
-            assert maxima["u1_inv_vs_u2"] == expect_1
-            assert maxima["u2_inv_vs_u1"] == expect_2
+WORD = st.text(alphabet="abAB", max_size=7)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    tree=st.sampled_from(sorted(TREES)),
+    texts_1=st.lists(WORD, min_size=1, max_size=7),
+    texts_2=st.lists(WORD, min_size=1, max_size=7),
+    base=WORD,
+    same=st.booleans(),
+    chain_pairs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 6)), max_size=4),
+    cut=st.integers(0, 4),
+)
+@example(tree="F2", texts_1=["ab"], texts_2=["Ba"], base="", same=False, chain_pairs=[], cut=0)
+@example(
+    tree="Z5*Z7", texts_1=["ab", "ba", "aabb", "abab"], texts_2=["bbba", "babab", "aab", "ab"],
+    base="", same=False, chain_pairs=[], cut=0,
+)
+@example(tree="Z5*Z7", texts_1=["ab"], texts_2=["ab"], base="b", same=True, chain_pairs=[], cut=0)
+@example(
+    tree="Z5*Z7", texts_1=["b"], texts_2=["a"], base="ab", same=False,
+    chain_pairs=[(1, 2), (3, 1), (2, 5)], cut=2,
+)
+@example(
+    tree="F2", texts_1=["b"], texts_2=["a"], base="Ba", same=False,
+    chain_pairs=[(1, 2), (2, 1)], cut=1,
+)
+def test_certify_fast_path_matches_generic_oracle(
+    tree, texts_1, texts_2, base, same, chain_pairs, cut
+):
+    # the sorted-neighbour maxima on trees must equal the all-pairs maxima
+    # of the three-distance Gromov product formula
+    space = TREES[tree]
+    ctx = space.context
+    h = w(space, base)
+    x0 = space.act(h, space.basepoint())
+    U1 = [w(space, t) for t in texts_1]
+    U2 = [w(space, t) for t in texts_2]
+    if chain_pairs:
+        # a^i b^j ... is a geodesic word from the base vertex on both trees,
+        # so the translate by a prefix of it has a prefix of its geodesic
+        whole = ctx.identity()
+        for i, j in chain_pairs:
+            whole = whole * ctx.generator(0) ** i * ctx.generator(1) ** j
+        part = ctx.identity()
+        for i, j in chain_pairs[:cut]:
+            part = part * ctx.generator(0) ** i * ctx.generator(1) ** j
+        U1.append(whole.conjugate_by(h).inverse())
+        U2 += [whole.conjugate_by(h), part.conjugate_by(h)]
+    U1 = ElementSet(ctx, U1)
+    U2 = U1 if same else ElementSet(ctx, U2)
+    _, maxima = certify_cross_products(space, U1, U2, x0, 0)
+    expect_1 = max(
+        space.gromov_product(space.act(u.inverse(), x0), space.act(v, x0), x0)
+        for u in U1
+        for v in U2
+    )
+    expect_2 = max(
+        space.gromov_product(space.act(v.inverse(), x0), space.act(u, x0), x0)
+        for u in U1
+        for v in U2
+    )
+    assert maxima["u1_inv_vs_u2"] == expect_1
+    assert maxima["u2_inv_vs_u1"] == expect_2

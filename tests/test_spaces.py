@@ -3,10 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from psgrowth.spaces import FiniteHypGraph, FreeProductTree, cycle_graph, load_graph
+from psgrowth.spaces import (
+    FiniteHypGraph,
+    FreeGroupTree,
+    FreeProductTree,
+    cycle_graph,
+    estimate_delta,
+    load_graph,
+)
 
-from conftest import make_random_connected_graph, random_reduced_word, w
+from conftest import TREES, make_random_connected_graph, random_reduced_word, w
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +193,69 @@ def test_product_tree_rejects_more_factors():
 
 
 # ---------------------------------------------------------------------------
+# point_at and orbit_labels on both trees
+
+WORD = st.text(alphabet="abAB", max_size=9)
+
+
+def tree_vertex(tree, text, tag):
+    """The vertex of a word (and, on the Bass-Serre tree, a tag)."""
+    g = w(tree, text)
+    return g if isinstance(tree, FreeGroupTree) else tree.vertex(g, tag)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    tree=st.sampled_from(sorted(TREES)),
+    x_text=WORD,
+    x_tag=st.integers(0, 1),
+    y_text=WORD,
+    y_tag=st.integers(0, 1),
+)
+@example(tree="Z5*Z7", x_text="a", x_tag=1, y_text="", y_tag=0)  # ends on a tag change
+@example(tree="Z5*Z7", x_text="ab", x_tag=0, y_text="abbab", y_tag=0)  # starts on one
+@example(tree="F2", x_text="aB", x_tag=0, y_text="aBBa", y_tag=0)
+def test_point_at_matches_geodesic(tree, x_text, x_tag, y_text, y_tag):
+    space = TREES[tree]
+    x = tree_vertex(space, x_text, x_tag)
+    y = tree_vertex(space, y_text, y_tag)
+    path = space.geodesic(x, y)
+    for k, vertex in enumerate(path):
+        assert space.point_at(x, y, k) == vertex
+    for k in (-1, len(path)):
+        with pytest.raises(ValueError):
+            space.point_at(x, y, k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    tree=st.sampled_from(sorted(TREES)),
+    x_text=WORD,
+    x_tag=st.integers(0, 1),
+    g_text=WORD,
+    h_text=WORD,
+)
+@example(tree="Z5*Z7", x_text="b", x_tag=0, g_text="ba", h_text="bab")
+def test_orbit_labels_count_shared_edges(tree, x_text, x_tag, g_text, h_text):
+    # label lengths are displacements, and common label prefixes count the
+    # edges that geodesics from x share
+    space = TREES[tree]
+    x = tree_vertex(space, x_text, x_tag)
+    g, h = w(space, g_text), w(space, h_text)
+    g_out, g_back = space.orbit_labels(g, x)
+    h_out, _ = space.orbit_labels(h, x)
+    g_x, g_inv_x, h_x = space.act(g, x), space.act(g.inverse(), x), space.act(h, x)
+    assert len(g_out) * space.rho0 == space.dist(x, g_x)
+    assert len(g_back) * space.rho0 == space.dist(x, g_inv_x)
+    assert (g_back, g_out) == space.orbit_labels(g.inverse(), x)
+    for p, labels in ((g_inv_x, g_back), (g_x, g_out)):
+        shared = 0
+        while shared < min(len(labels), len(h_out)) and labels[shared] == h_out[shared]:
+            shared += 1
+        assert shared * space.rho0 == space.gromov_product(p, h_x, x)
+
+
+# ---------------------------------------------------------------------------
 # FiniteHypGraph
 
 
@@ -272,3 +344,10 @@ def test_graph_metric_axioms():
             assert g.dist(x, y) == g.dist(y, x)
             for z in range(g.n):
                 assert g.dist(x, z) <= g.dist(x, y) + g.dist(y, z)
+
+
+def test_estimate_delta_rejects_a_wrong_stored_delta():
+    c6 = cycle_graph(6)
+    c6.delta = Fraction(2)
+    with pytest.raises(RuntimeError, match="stored delta 2"):
+        estimate_delta(c6)
