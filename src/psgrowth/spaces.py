@@ -262,22 +262,24 @@ class FreeProductTree(ActionSpace):
             steps += 1
         return steps
 
-    def dist(self, x, y) -> Fraction:
+    def _path_word(self, x, y) -> GroupElement:
+        """x[0]^-1 y[0] without a trailing syllable of y's tag: the
+        syllables that the geodesic [x, y] consumes."""
         self.check_point(x)
         self.check_point(y)
         w = x[0].inverse() * y[0]
         if w.syllables and w.syllables[-1][0] == y[1]:
             w = GroupElement(self.context, w.syllables[:-1])
+        return w
+
+    def dist(self, x, y) -> Fraction:
+        w = self._path_word(x, y)
         if not w.syllables and x[1] == y[1]:
             return Fraction(0)
         return self._edge_steps(x[1], w, y[1]) * self.rho0
 
     def geodesic(self, x, y) -> list:
-        self.check_point(x)
-        self.check_point(y)
-        w = x[0].inverse() * y[0]
-        if w.syllables and w.syllables[-1][0] == y[1]:
-            w = GroupElement(self.context, w.syllables[:-1])
+        w = self._path_word(x, y)
         points = [x]
         prefix = x[0]
         side = x[1]
@@ -295,11 +297,7 @@ class FreeProductTree(ActionSpace):
 
     def point_at(self, x, y, k: int):
         """`geodesic(x, y)[k]`, without building the rest of the geodesic."""
-        self.check_point(x)
-        self.check_point(y)
-        w = x[0].inverse() * y[0]
-        if w.syllables and w.syllables[-1][0] == y[1]:
-            w = GroupElement(self.context, w.syllables[:-1])
+        w = self._path_word(x, y)
         _check_steps(k, self._edge_steps(x[1], w, y[1]))
         side = x[1]
         idx, syllables = 0, w.syllables
