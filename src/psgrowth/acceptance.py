@@ -28,9 +28,16 @@ from .growth import (
 from .hypgeom import translation_length
 from .periodicity import PeriodCertificate, extract_period_from_equations, pingpong_certify
 from .reduction import certify_cross_products, reduce_tree
-from .spaces import FiniteHypGraph, FreeGroupTree, FreeProductTree
+from .spaces import FreeGroupTree, FreeProductTree, random_connected_graph
 from .treeapprox import approximate_tree, distortion_report
-from .words import ElementSet, GroupElement, parse, product_set, safin_family
+from .words import (
+    ElementSet,
+    GroupElement,
+    parse,
+    product_set,
+    random_reduced_word,
+    safin_family,
+)
 
 
 @dataclass
@@ -58,38 +65,6 @@ def _timed(fn: Callable[[], tuple[bool, dict]], number: int, name: str) -> Crite
     start = time.monotonic()
     passed, details = fn()
     return CriterionResult(number, name, passed, details, time.monotonic() - start)
-
-
-def _random_word(rng: random.Random, ctx, length: int) -> GroupElement:
-    letters = []
-    prev = None
-    for _ in range(length):
-        while True:
-            g = rng.randrange(ctx.rank)
-            s = rng.choice((1, -1))
-            if prev != (g, -s):
-                break
-        letters.append((g, s))
-        prev = (g, s)
-    el = ctx.identity()
-    for g, s in letters:
-        el = el * GroupElement(ctx, ((g, s),))
-    return el
-
-
-def _random_connected_graph(rng: random.Random, n_max: int = 40) -> FiniteHypGraph:
-    n = rng.randint(4, n_max)
-    edges = set()
-    order = list(range(n))
-    rng.shuffle(order)
-    for i in range(1, n):
-        j = rng.choice(order[:i])
-        edges.add((min(order[i], j), max(order[i], j)))
-    for _ in range(rng.randint(0, n)):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            edges.add((min(i, j), max(i, j)))
-    return FiniteHypGraph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +165,7 @@ def default_tree_suite() -> list[tuple]:
     for size in (6, 12):
         members = set()
         while len(members) < size:
-            members.add(_random_word(rng, f2.context, rng.randint(1, 6)))
+            members.add(random_reduced_word(rng, f2.context, rng.randint(1, 6)))
         random_sets.append(ElementSet(f2.context, members))
     a = f2.context.generator(0)
     suite = [
@@ -322,7 +297,7 @@ def criterion_4(count: int = 200, seed: int = 4040) -> CriterionResult:
         failures = []
         built = 0
         while built < count:
-            root = _random_word(rng, ctx, rng.randint(2, 4))
+            root = random_reduced_word(rng, ctx, rng.randint(2, 4))
             from .words import cyclic_reduce
 
             core, _ = cyclic_reduce(root)
@@ -335,7 +310,7 @@ def criterion_4(count: int = 200, seed: int = 4040) -> CriterionResult:
             vp = rng.randint(40, 70)
             gp = vp + rng.randint(12, 25)
             conj = (
-                _random_word(rng, ctx, rng.randint(0, 3))
+                random_reduced_word(rng, ctx, rng.randint(0, 3))
                 if built % 2
                 else ctx.identity()
             )
@@ -381,7 +356,7 @@ def criterion_5(count: int = 100, seed: int = 5050) -> CriterionResult:
         failures = []
         worst = 0.0
         for i in range(count):
-            g = _random_connected_graph(rng, n_max=40)
+            g = random_connected_graph(rng, n_max=40)
             x0 = rng.randrange(g.n)
             k = rng.randint(2, min(12, g.n - 1))
             targets = rng.sample([v for v in range(g.n) if v != x0], k)
@@ -420,7 +395,7 @@ def criterion_6(count: int = 50, seed: int = 6060) -> CriterionResult:
             size = rng.randint(200, 2000)
             members = set()
             while len(members) < size:
-                members.add(_random_word(rng, ctx, rng.randint(4, 12)))
+                members.add(random_reduced_word(rng, ctx, rng.randint(4, 12)))
             U = ElementSet(ctx, members)
             x0 = minimize_energy(tree, U).base_point
             res = reduce_tree(tree, U, x0, 1)
@@ -455,7 +430,7 @@ def criterion_7(seed: int = 7070) -> CriterionResult:
         checks = {"metric": 0, "four_point": 0, "conjugation": 0, "powers": 0, "oracle": 0}
 
         for _ in range(150):
-            x, y, z = (_random_word(rng, ctx, rng.randint(0, 7)) for _ in range(3))
+            x, y, z = (random_reduced_word(rng, ctx, rng.randint(0, 7)) for _ in range(3))
             if tree.dist(x, y) != tree.dist(y, x):
                 return False, {"failed": "symmetry"}
             if tree.dist(x, z) > tree.dist(x, y) + tree.dist(y, z):
@@ -465,7 +440,7 @@ def criterion_7(seed: int = 7070) -> CriterionResult:
             checks["metric"] += 1
 
         for _ in range(150):
-            p, q, r_, x = (_random_word(rng, ctx, rng.randint(0, 7)) for _ in range(4))
+            p, q, r_, x = (random_reduced_word(rng, ctx, rng.randint(0, 7)) for _ in range(4))
             if tree.gromov_product(p, r_, x) < min(
                 tree.gromov_product(p, q, x), tree.gromov_product(q, r_, x)
             ):
@@ -473,8 +448,8 @@ def criterion_7(seed: int = 7070) -> CriterionResult:
             checks["four_point"] += 1
 
         for _ in range(80):
-            g = _random_word(rng, ctx, rng.randint(1, 6))
-            h = _random_word(rng, ctx, rng.randint(0, 6))
+            g = random_reduced_word(rng, ctx, rng.randint(1, 6))
+            h = random_reduced_word(rng, ctx, rng.randint(0, 6))
             lg = translation_length(tree, g).translation_length
             if translation_length(tree, g.conjugate_by(h)).translation_length != lg:
                 return False, {"failed": "conjugation", "g": str(g), "h": str(h)}
@@ -487,21 +462,9 @@ def criterion_7(seed: int = 7070) -> CriterionResult:
         # oracle equivalence on every g with |g| <= 6: [g] equals the
         # exhaustive minimum displacement over the radius-4 ball (which
         # contains an axis vertex since the conjugator has length <= 3)
-        ball = [tree.basepoint()]
-        for radius in range(1, 5):
-            ball.extend(tree.sphere(tree.basepoint(), radius))
-        frontier = [ctx.identity()]
-        all_words = []
-        for _ in range(6):
-            nxt = []
-            for w_ in frontier:
-                for gi in range(2):
-                    for s in (1, -1):
-                        cand = w_ * GroupElement(ctx, ((gi, s),))
-                        if cand.word_length() == w_.word_length() + 1:
-                            nxt.append(cand)
-            frontier = nxt
-            all_words.extend(nxt)
+        spheres = [tree.sphere(tree.basepoint(), k) for k in range(1, 7)]
+        ball = [tree.basepoint()] + [x for sphere in spheres[:4] for x in sphere]
+        all_words = [g for sphere in spheres for g in sphere]
         for g in all_words:
             expected = min(tree.dist(x, tree.act(g, x)) for x in ball)
             if translation_length(tree, g).translation_length != expected:
@@ -525,7 +488,7 @@ def criterion_8(count: int = 50, seed: int = 8080) -> CriterionResult:
             members = set()
             size = rng.randint(3, 10)
             while len(members) < size:
-                members.add(_random_word(rng, ctx, rng.randint(1, 7)))
+                members.add(random_reduced_word(rng, ctx, rng.randint(1, 7)))
             U = ElementSet(ctx, members)
             prof = minimize_energy(tree, U)
             base = tree.basepoint()
@@ -573,7 +536,7 @@ def _standard_report(seed: int) -> bytes:
     rng = random.Random(seed)
     members = set()
     while len(members) < 40:
-        members.add(_random_word(rng, ctx, rng.randint(4, 9)))
+        members.add(random_reduced_word(rng, ctx, rng.randint(4, 9)))
     U = ElementSet(ctx, members)
     rep = growth_report(tree, U, 3, Mode.practical(1, 1))
     x0 = minimize_energy(tree, U).base_point

@@ -26,8 +26,8 @@ from .treeapprox import approximate_tree, distortion_report
 from .words import (
     BudgetExceededError,
     ElementSet,
-    GroupElement,
     parse,
+    random_reduced_word,
     safin_counts,
     safin_family,
 )
@@ -202,20 +202,7 @@ def build_set(cfg: dict, space, seed: int) -> ElementSet:
         if attempts > 100 * count:
             raise ConfigError("random set generation stalled; lower 'count'")
         length = rng.choices(range(1, max_len + 1), weights=weights)[0]
-        letters = []
-        prev = None
-        for _ in range(length):
-            while True:
-                g = rng.randrange(k)
-                s = rng.choice((1, -1))
-                if prev != (g, -s):
-                    break
-            letters.append((g, s))
-            prev = (g, s)
-        el = ctx.identity()
-        for g, s in letters:
-            el = el * GroupElement(ctx, ((g, s),))
-        members.add(el)
+        members.add(random_reduced_word(rng, ctx, length))
     return ElementSet(ctx, members)
 
 

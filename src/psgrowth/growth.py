@@ -35,6 +35,7 @@ from .words import (
     GroupElement,
     power_of,
     primitive_root,
+    product_level,
     product_set,
 )
 
@@ -156,11 +157,12 @@ def growth_report(
     bounds = {}
     violations = []
     truncated = False
-    current = U
+    factors = list(U)
+    current = set(factors)
     for k in range(1, n_max + 1):
         if k > 1:
             try:
-                current = _step(current, U, budget)
+                current = product_level(current, factors, budget)
             except BudgetExceededError:
                 truncated = True
                 break
@@ -186,16 +188,6 @@ def growth_report(
         violations=violations,
         profile=prof,
     )
-
-
-def _step(current: ElementSet, U: ElementSet, budget: int) -> ElementSet:
-    out = set()
-    for x in current:
-        for u in U:
-            out.add(x * u)
-            if len(out) > budget:
-                raise BudgetExceededError(f"over budget {budget}")
-    return ElementSet(U.context, out)
 
 
 def entropy_bound_holds(sizes: dict, alpha: Fraction, u_size: int) -> bool:
@@ -328,14 +320,13 @@ def concentrated_pipeline(
     sizes = {}
     if ok:
         words = [u * v for u in u2]
-        current = list(words)
-        sizes[1] = len(set(current))
+        current = set(words)
+        sizes[1] = len(current)
         k = 1
         while k < (n_max + 1) // 2 + 1 and len(current) * len(words) <= budget:
-            nxt = [x * w_ for x in current for w_ in words]
+            current = product_level(current, words, budget)
             k += 1
-            current = nxt
-            sizes[k] = len(set(current))
+            sizes[k] = len(current)
         expected = {kk: len(u2) ** kk for kk in sizes}
         if sizes != expected:
             raise AssertionError(
@@ -449,7 +440,7 @@ def diffuse_pipeline(
     l = (n + 1) // 2
     W = U1
     for _ in range(l - 2):
-        W = _step(_step(W, U2, budget), U1, budget)
+        W = ElementSet(ctx, product_level(product_level(W, U2, budget), U1, budget))
 
     consts = AlphaConstants.for_space(space)
     paper_bound = f"(|U| / (8 * {consts.c_counting} * 2b^2))^{l}"

@@ -17,6 +17,7 @@ scoped to the convex hull of explicitly supplied points.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -553,6 +554,23 @@ def cycle_graph(n: int, rho0=1) -> FiniteHypGraph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     rot = [(i + 1) % n for i in range(n)]
     return FiniteHypGraph(n, edges, [rot], rho0=rho0)
+
+
+def random_connected_graph(rng: random.Random, n_max: int = 40) -> FiniteHypGraph:
+    """A seeded random connected graph on 4..n_max vertices: a random
+    spanning tree plus up to n extra edges, with no group action."""
+    n = rng.randint(4, n_max)
+    edges = set()
+    order = list(range(n))
+    rng.shuffle(order)
+    for i in range(1, n):
+        j = rng.choice(order[:i])
+        edges.add((min(order[i], j), max(order[i], j)))
+    for _ in range(rng.randint(0, n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+    return FiniteHypGraph(n, edges)
 
 
 def load_graph(data: dict, rho0=1, kappa0=None, N0: int = 1) -> FiniteHypGraph:

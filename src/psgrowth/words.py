@@ -1,5 +1,6 @@
 """Exact group element arithmetic for free groups and 2-generator-type
-free products of cyclic groups, plus product-set enumeration.
+free products of cyclic groups, plus product-set enumeration and seeded
+random reduced words.
 
 Elements are stored in canonical normal form as run-length syllable lists,
 so structural equality coincides with equality in the group and hashing is
@@ -9,9 +10,10 @@ O(1) amortized.  Serialization uses compact letter strings: generators are
 
 from __future__ import annotations
 
+import random
 import string
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 FREE = "free"
 FREE_PRODUCT = "free_product"
@@ -221,6 +223,26 @@ def parse(ctx: PresentationContext, text: str) -> GroupElement:
     return GroupElement(ctx, tuple((g, e) for g, e in stack))
 
 
+def random_reduced_word(
+    rng: random.Random, ctx: PresentationContext, length: int
+) -> GroupElement:
+    """A uniformly random reduced word of exactly `length` letters in a free
+    group.  Each letter is drawn as rng.randrange(rank), rng.choice((1, -1))
+    and redrawn while it would cancel the previous letter, so a seed fixes
+    the word."""
+    stack: list[list[int]] = []
+    prev = None
+    for _ in range(length):
+        while True:
+            g = rng.randrange(ctx.rank)
+            s = rng.choice((1, -1))
+            if prev != (g, -s):
+                break
+        _push(ctx, stack, g, s)
+        prev = (g, s)
+    return GroupElement(ctx, tuple((g, e) for g, e in stack))
+
+
 def cyclic_reduce(a: GroupElement) -> tuple[GroupElement, GroupElement]:
     """Write a = c * core * c^-1 with core of minimal length in the
     conjugacy class.
@@ -380,12 +402,32 @@ class ElementSet:
         return cls(ctx, (parse(ctx, t) for t in texts))
 
 
+def product_level(
+    current: Iterable[GroupElement], factors: Sequence[GroupElement], budget: int
+) -> set[GroupElement]:
+    """The distinct products x * y for x in `current` and y in `factors`.
+
+    This is the package's one product-set loop: every level of every
+    enumeration goes through it.  Raises BudgetExceededError once there are
+    more than `budget` distinct products.
+    """
+    out: set[GroupElement] = set()
+    for x in current:
+        for y in factors:
+            out.add(x * y)
+            if len(out) > budget:
+                raise BudgetExceededError(
+                    f"product set exceeded budget of {budget} elements"
+                )
+    return out
+
+
 def product_set(U: ElementSet, n: int, budget: int = 10_000_000) -> ElementSet:
     """The set of all products of exactly n elements of U, deduplicated.
 
-    Computed by iterated frontier multiplication with global dedup per
-    level; raises BudgetExceededError if an intermediate level would
-    exceed `budget` canonical forms.
+    Computed level by level with `product_level`; raises
+    BudgetExceededError if an intermediate level would exceed `budget`
+    canonical forms.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -394,15 +436,7 @@ def product_set(U: ElementSet, n: int, budget: int = 10_000_000) -> ElementSet:
     factors = list(U)
     current = set(factors)
     for _ in range(n - 1):
-        nxt = set()
-        for x in current:
-            for u in factors:
-                nxt.add(x * u)
-                if len(nxt) > budget:
-                    raise BudgetExceededError(
-                        f"product set exceeded budget of {budget} elements"
-                    )
-        current = nxt
+        current = product_level(current, factors, budget)
     return ElementSet(U.context, current)
 
 

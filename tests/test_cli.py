@@ -125,18 +125,26 @@ def test_reduce_command(tmp_path):
     assert "median_split" in rep
 
 
+PINGPONG_CFG = {
+    "command": "pingpong",
+    "space": {"backend": "free_group", "rank": 2},
+    "pingpong": {"root": "ab", "t": "b", "powers": [10, 20, 30], "n": 3, "a_value": "2"},
+}
+
+
 def test_pingpong_command(tmp_path):
-    cfg = {
-        "command": "pingpong",
-        "space": {"backend": "free_group", "rank": 2},
-        "pingpong": {"root": "ab", "t": "b", "powers": [10, 20, 30], "n": 3, "a_value": "2"},
-    }
-    p = write_cfg(tmp_path, cfg)
+    p = write_cfg(tmp_path, PINGPONG_CFG)
     out = tmp_path / "out"
     assert main(["--config", str(p), "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["pingpong"]["certified"]
     assert rep["pingpong"]["counts"]["3"] == 27
+
+
+def test_pingpong_budget_exit_3(tmp_path):
+    # |(Vt)^2| = 9 distinct products outgrow a budget of 5
+    p = write_cfg(tmp_path, PINGPONG_CFG)
+    assert main(["--config", str(p), "--out", str(tmp_path / "o"), "--budget", "5"]) == 3
 
 
 def test_period_command(tmp_path):

@@ -14,9 +14,9 @@ from psgrowth.energy import (
     minimize_energy,
 )
 from psgrowth.spaces import cycle_graph
-from psgrowth.words import ElementSet, safin_family
+from psgrowth.words import ElementSet, random_reduced_word, safin_family
 
-from conftest import TREES, random_reduced_word, w
+from conftest import TREES, w
 
 
 def eset(space, *texts):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from psgrowth.energy import Mode
+from psgrowth.energy import Mode, minimize_energy
 from psgrowth.growth import (
     AlphaConstants,
     concentrated_pipeline,
@@ -15,10 +15,11 @@ from psgrowth.growth import (
     theorem_alpha,
     virtually_cyclic_reason,
 )
+from psgrowth.reduction import median_split, reduce_tree
 from psgrowth.spaces import cycle_graph
-from psgrowth.words import ElementSet, safin_family
+from psgrowth.words import ElementSet, random_reduced_word, safin_family
 
-from conftest import random_reduced_word, w
+from conftest import w
 
 
 def eset(space, *texts):
@@ -231,6 +232,27 @@ def test_diffuse_pipeline_biperiodic_branch(f2_tree):
     assert out.certified, out.reason
     counts = {int(k): v for k, v in out.sizes.items()}
     assert counts[3] == counts[1] ** 3
+
+
+def test_diffuse_pipeline_counting_set_at_n5(f2_tree):
+    # n = 5 gives l = 3, so the counting set W_3 = U1 U2 U1 is enumerated
+    ctx = f2_tree.context
+    rng = random.Random(2)
+    members = set()
+    while len(members) < 30:
+        members.add(random_reduced_word(rng, ctx, rng.randint(4, 9)))
+    U = ElementSet(ctx, members)
+    out = diffuse_pipeline(f2_tree, U, PRACTICAL, n=5)
+    assert out.branch == "NonPeriodic", out.reason
+    x0 = minimize_energy(f2_tree, U, PRACTICAL).base_point
+    red = reduce_tree(
+        f2_tree, U, x0, f2_tree.rho0,
+        hypothesis_displacement=PRACTICAL.concentration_threshold,
+    )
+    U1, U2 = median_split(f2_tree, red.u1, red.u2, x0)
+    W = {a * b * c for a, b, c in itertools.product(U1, U2, U1)}
+    assert out.sizes["U1"] == len(U1)
+    assert out.sizes["W"] == len(W) == 18
 
 
 def test_diffuse_pipeline_counting_c_guard(f2_tree):

@@ -13,9 +13,10 @@ from psgrowth.hypgeom import (
     small_cancellation_diameter,
     translation_length,
 )
-from psgrowth.spaces import FiniteHypGraph, cycle_graph
+from psgrowth.spaces import FiniteHypGraph, cycle_graph, random_connected_graph
+from psgrowth.words import random_reduced_word
 
-from conftest import make_random_connected_graph, random_reduced_word, w
+from conftest import w
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,7 @@ def test_gromov_product_vs_geodesic_distance():
     # second inequality carries a one-edge discretization term.
     rng = random.Random(22)
     for _ in range(5):
-        g = make_random_connected_graph(rng, n_max=12)
+        g = random_connected_graph(rng, n_max=12)
         for _ in range(30):
             x, y, z = (rng.randrange(g.n) for _ in range(3))
             seg = g.geodesic(x, z)
@@ -87,7 +88,7 @@ def test_thin_triangles_lemma():
     # p on [x,y] with (y,z)_x >= |p-x|  =>  (x,z)_p <= delta and d(p,[x,z]) <= 5 delta
     rng = random.Random(23)
     for _ in range(5):
-        g = make_random_connected_graph(rng, n_max=12)
+        g = random_connected_graph(rng, n_max=12)
         for _ in range(30):
             x, y, z = (rng.randrange(g.n) for _ in range(3))
             gp = gromov_product(g, y, z, x)
@@ -101,7 +102,7 @@ def test_thin_triangles_2_lemma():
     # projections: (z,x)_p <= 4 delta, (y,x)_p <= 4 delta, |x-p| <= (z,y)_x + 4 delta
     rng = random.Random(24)
     for _ in range(5):
-        g = make_random_connected_graph(rng, n_max=12)
+        g = random_connected_graph(rng, n_max=12)
         for _ in range(25):
             x, y, z = (rng.randrange(g.n) for _ in range(3))
             seg = g.geodesic(x, y)
@@ -332,7 +333,7 @@ def test_chain_certificate_beta_hausdorff(f2_tree):
 
     rng = random.Random(32)
     for _ in range(5):
-        g = make_random_connected_graph(rng, n_max=12)
+        g = random_connected_graph(rng, n_max=12)
         # grow a chain with spaced points; feed the lemma whatever beta the
         # chain actually achieved and check the 10*delta + beta conclusion
         pts = [rng.randrange(g.n)]
@@ -352,7 +353,7 @@ def test_stability_of_quasi_geodesics_22delta():
     rng = random.Random(33)
     checked = 0
     for _ in range(10):
-        g = make_random_connected_graph(rng, n_max=14)
+        g = random_connected_graph(rng, n_max=14)
         if g.delta == 0:
             continue
         for _ in range(40):

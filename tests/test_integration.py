@@ -12,9 +12,9 @@ from psgrowth.growth import diffuse_pipeline, growth_report
 from psgrowth.hypgeom import translation_length
 from psgrowth.reduction import reduce_tree, reduce_via_tree_approx
 from psgrowth.spaces import FiniteHypGraph, FreeProductTree, cycle_graph
-from psgrowth.words import ElementSet, parse
+from psgrowth.words import ElementSet, parse, random_reduced_word
 
-from conftest import random_reduced_word, w
+from conftest import w
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from psgrowth.periodicity import (
     pingpong_certify,
     separate,
 )
-from psgrowth.words import ElementSet, power_of, primitive_root
+from psgrowth.words import ElementSet, power_of, primitive_root, random_reduced_word
 
-from conftest import random_reduced_word, w
+from conftest import w
 
 
 # ---------------------------------------------------------------------------

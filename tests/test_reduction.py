@@ -15,9 +15,9 @@ from psgrowth.reduction import (
     reduced_at,
 )
 from psgrowth.spaces import FiniteHypGraph
-from psgrowth.words import ElementSet, safin_family
+from psgrowth.words import ElementSet, random_reduced_word, safin_family
 
-from conftest import TREES, random_reduced_word, w
+from conftest import TREES, w
 
 
 def eset(space, *texts):

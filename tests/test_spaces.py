@@ -13,9 +13,11 @@ from psgrowth.spaces import (
     cycle_graph,
     estimate_delta,
     load_graph,
+    random_connected_graph,
 )
+from psgrowth.words import random_reduced_word
 
-from conftest import TREES, make_random_connected_graph, random_reduced_word, w
+from conftest import TREES, w
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,7 @@ def test_tree_graph_delta_zero():
 def test_random_graph_delta_matches_oracle():
     rng = random.Random(9)
     for _ in range(6):
-        g = make_random_connected_graph(rng, n_max=9)
+        g = random_connected_graph(rng, n_max=9)
         assert g.delta == oracle_four_point_delta(g)
 
 
@@ -338,7 +340,7 @@ def test_load_graph_schema():
 
 def test_graph_metric_axioms():
     rng = random.Random(10)
-    g = make_random_connected_graph(rng, n_max=15)
+    g = random_connected_graph(rng, n_max=15)
     for x in range(g.n):
         for y in range(g.n):
             assert g.dist(x, y) == g.dist(y, x)

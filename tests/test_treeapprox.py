@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from psgrowth.treeapprox import TreePoint, approximate_tree, distortion_report
-from psgrowth.spaces import cycle_graph
+from psgrowth.spaces import cycle_graph, random_connected_graph
+from psgrowth.words import random_reduced_word
 
-from conftest import make_random_connected_graph, random_reduced_word, w
+from conftest import w
 
 
 def test_tree_input_zero_distortion(f2_tree):
@@ -64,7 +65,7 @@ def test_monotone_gluing_trees(f2_tree):
 
 def test_monotone_gluing_graphs_lower_bound():
     rng = random.Random(53)
-    g = make_random_connected_graph(rng, n_max=14)
+    g = random_connected_graph(rng, n_max=14)
     targets = [v for v in range(1, g.n)][:6]
     approx = approximate_tree(g, 0, targets)
     for i in range(1, len(targets)):
@@ -75,7 +76,7 @@ def test_monotone_gluing_graphs_lower_bound():
 def test_random_graphs_within_bound():
     rng = random.Random(54)
     for _ in range(25):
-        g = make_random_connected_graph(rng, n_max=16)
+        g = random_connected_graph(rng, n_max=16)
         x0 = rng.randrange(g.n)
         k = rng.randint(1, min(8, g.n - 1))
         targets = rng.sample([v for v in range(g.n) if v != x0], k)

@@ -21,6 +21,7 @@ from psgrowth.words import (
 
 F2 = free_group(2)
 Z2Z3 = free_product(2, 3)
+Z5Z7 = free_product(5, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +224,22 @@ def test_product_set_examples():
 
 
 def test_product_set_is_exactly_n_fold():
-    # oracle: literal n-tuple enumeration
-    U = ElementSet.from_strings(F2, ["a", "b", "AB"])
-    for n in (1, 2, 3):
-        expect = set()
-        for tup in itertools.product(list(U), repeat=n):
-            prod = F2.identity()
-            for t in tup:
-                prod = prod * t
-            expect.add(prod)
-        assert set(product_set(U, n)) == expect
+    # oracle: literal n-tuple enumeration, in F_2 and in Z/5 * Z/7
+    cases = [
+        (F2, ["a", "b", "AB"]),
+        (Z5Z7, ["a", "b", "ab"]),
+        (Z5Z7, ["aa", "bbb", "ba", "abbbbbb"]),
+    ]
+    for ctx, texts in cases:
+        U = ElementSet.from_strings(ctx, texts)
+        for n in (1, 2, 3):
+            expect = set()
+            for tup in itertools.product(list(U), repeat=n):
+                prod = ctx.identity()
+                for t in tup:
+                    prod = prod * t
+                expect.add(prod)
+            assert set(product_set(U, n)) == expect
 
 
 def test_product_set_budget():
