@@ -17,11 +17,11 @@ from pathlib import Path
 import jsonschema
 
 from . import acceptance
-from .energy import Mode, classify, minimize_energy
-from .growth import concentrated_pipeline, diffuse_pipeline, growth_report
-from .periodicity import Refusal, is_biperiodic, is_periodic, pingpong_certify
-from .reduction import median_split, reduce_graph, reduce_tree, reduce_via_tree_approx
-from .spaces import FiniteHypGraph, FreeGroupTree, FreeProductTree, load_graph
+from .energy import Case, Mode, classify, minimize_energy
+from .growth import concentrated_pipeline, diffuse_pipeline, exponent_fit, growth_report
+from .periodicity import is_biperiodic, is_periodic, pingpong_certify
+from .reduction import median_split, reduce_at
+from .spaces import FreeGroupTree, FreeProductTree, load_graph
 from .treeapprox import approximate_tree, distortion_report
 from .words import (
     BudgetExceededError,
@@ -37,7 +37,8 @@ EXIT_BOUND_VIOLATION = 2
 EXIT_BUDGET = 3
 EXIT_CONFIG = 4
 
-_RATIONAL = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
+_RATIONAL = {"type": "string", "pattern": r"^-?\d+(/0*[1-9]\d*)?$"}
+_INTEGERS = {"type": "array", "items": {"type": "integer"}}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -77,8 +78,16 @@ CONFIG_SCHEMA = {
                     "required": ["vertices", "edges"],
                     "properties": {
                         "vertices": {"type": "integer", "minimum": 1},
-                        "edges": {"type": "array"},
-                        "generators": {"type": "array"},
+                        "edges": {
+                            "type": "array",
+                            "items": {
+                                "type": "array",
+                                "items": {"type": "integer", "minimum": 0},
+                                "minItems": 2,
+                                "maxItems": 2,
+                            },
+                        },
+                        "generators": {"type": "array", "items": _INTEGERS},
                     },
                 },
             },
@@ -123,7 +132,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "root": {"type": "string"},
                 "t": {"type": "string"},
-                "powers": {"type": "array", "items": {"type": "integer"}},
+                "powers": dict(_INTEGERS, minItems=1),
                 "n": {"type": "integer", "minimum": 1},
                 "a_value": _RATIONAL,
             },
@@ -133,7 +142,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "base": {"type": "integer", "minimum": 0},
-                "targets": {"type": "array", "items": {"type": "integer"}},
+                "targets": _INTEGERS,
             },
         },
     },
@@ -247,11 +256,8 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         report["certificates"] = []
         if cfg.get("set", {}).get("kind") == "safin":
             report["safin_counts"] = safin_counts(cfg["set"]["n_big"])
-            from .growth import exponent_fit
-            from .words import safin_family as _fam
-
             slope, counts = exponent_fit(
-                space, lambda N: _fam(space.context, N), min(n_max, 3), [2, 4, 8], budget
+                space, lambda N: safin_family(space.context, N), min(n_max, 3), [2, 4, 8], budget
             )
             report["growth"]["exponent_fit"] = round(slope, 6)
             report["family_counts"] = {str(k): v for k, v in counts.items()}
@@ -264,8 +270,6 @@ def run_config(cfg: dict, out_dir: Path) -> int:
                 "displacement": str(rep.profile.displacement),
                 "case": rep.profile.case.value if rep.profile.case else None,
             }
-            from .energy import Case
-
             if rep.profile.case is Case.CONCENTRATED:
                 out = concentrated_pipeline(
                     space, U, rep.profile.base_point, mode, n_max=n_max, budget=budget
@@ -300,13 +304,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         U = build_set(cfg, space, seed)
         prof = minimize_energy(space, U, mode)
         x0 = prof.base_point
-        if isinstance(space, (FreeGroupTree, FreeProductTree)):
-            r = _frac(cfg.get("reduce", {}).get("r"), space.rho0)
-            res = reduce_tree(space, U, x0, r)
-        elif space.delta == 0:
-            res = reduce_graph(space, U, x0)
-        else:
-            res = reduce_via_tree_approx(space, U, x0)
+        res = reduce_at(space, U, x0, _frac(cfg.get("reduce", {}).get("r")))
         report["reduction"] = res.as_dict()
         if not res.failed:
             out1, out2 = median_split(space, res.u1, res.u2, x0)
@@ -320,15 +318,9 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         threshold = _frac(section.get("threshold"))
         if "root" in section:
             root = parse(space.context, section["root"])
-            rows = []
-            for v in U:
-                res = is_periodic(space, v, root, x0, threshold)
-                rows.append(
-                    res.as_dict()
-                    if isinstance(res, Refusal)
-                    else res.as_dict()
-                )
-            report["period"] = rows
+            report["period"] = [
+                is_periodic(space, v, root, x0, threshold).as_dict() for v in U
+            ]
         else:
             res = is_biperiodic(space, U, x0, threshold)
             report["biperiodic"] = res.as_dict()
@@ -356,7 +348,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
             exit_code = EXIT_BOUND_VIOLATION
 
     elif command == "treeapprox":
-        if not isinstance(space, FiniteHypGraph):
+        if space.is_tree:
             raise ConfigError("treeapprox needs the graph backend")
         section = cfg.get("treeapprox", {})
         base = section.get("base", 0)

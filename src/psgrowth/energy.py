@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactmath import log2_upper
-from .spaces import ActionSpace, FiniteHypGraph
+from .spaces import ActionSpace
 from .words import ElementSet
 
 
@@ -61,7 +61,7 @@ def d_factor(space: ActionSpace, U: ElementSet, mode: Mode) -> Fraction:
     acylindrical actions (certified dyadic upper bound when irrational)."""
     choice = mode.d_choice
     if choice == "auto":
-        choice = "acylindrical" if isinstance(space, FiniteHypGraph) and space.delta > 0 else "tree"
+        choice = "acylindrical" if space.delta > 0 else "tree"
     if choice in ("tree", "hyperbolic_group"):
         return Fraction(1)
     return log2_upper(2 * len(U))
@@ -138,7 +138,7 @@ def minimize_energy(
     if len(U) == 0:
         raise ValueError("U must be nonempty")
 
-    if isinstance(space, FiniteHypGraph):
+    if not space.is_tree:
         x = min(
             range(space.n), key=lambda v: (energy_at(space, U, v), space.point_key(v))
         )

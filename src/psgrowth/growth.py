@@ -17,7 +17,7 @@ import numpy as np
 
 from .energy import Case, EnergyProfile, Mode, classify, minimize_energy
 from .exactmath import log2_upper
-from .hypgeom import Constants, translation_length
+from .hypgeom import translation_length
 from .periodicity import (
     BiPeriodicWitness,
     Refusal,
@@ -27,8 +27,8 @@ from .periodicity import (
     pingpong_certify,
     separate,
 )
-from .reduction import median_split, reduce_graph, reduce_tree, reduce_via_tree_approx
-from .spaces import ActionSpace, FreeGroupTree, FreeProductTree
+from .reduction import median_split, reduce_at
+from .spaces import ActionSpace
 from .words import (
     BudgetExceededError,
     ElementSet,
@@ -79,7 +79,7 @@ def virtually_cyclic_reason(space: ActionSpace, U: ElementSet) -> Optional[str]:
     nontrivial = [u for u in U if not u.is_identity]
     if not nontrivial:
         return "U contains only the identity"
-    if isinstance(space, (FreeGroupTree, FreeProductTree)):
+    if space.is_tree:
         hyp = []
         for u in nontrivial:
             if translation_length(space, u).is_hyperbolic:
@@ -132,7 +132,7 @@ def theorem_alpha(space: ActionSpace, U: ElementSet, mode: Mode) -> Fraction:
     acylindrical form alpha_acyl / log2(2|U|)^6 (certified upper dyadic
     log bound, which only shrinks the claimed floor)."""
     consts = AlphaConstants.for_space(space)
-    if isinstance(space, (FreeGroupTree, FreeProductTree)) or space.delta == 0:
+    if space.delta == 0:
         return consts.alpha_tree
     return consts.alpha_acyl / log2_upper(2 * len(U)) ** 6
 
@@ -418,15 +418,7 @@ def diffuse_pipeline(
     else:
         hypothesis_floor = mode.concentration_threshold
 
-    if isinstance(space, (FreeGroupTree, FreeProductTree)):
-        r_eff = Fraction(r) if r is not None else space.rho0
-        red = reduce_tree(
-            space, U, x0, r_eff, hypothesis_displacement=hypothesis_floor
-        )
-    elif space.delta == 0:
-        red = reduce_graph(space, U, x0)
-    else:
-        red = reduce_via_tree_approx(space, U, x0)
+    red = reduce_at(space, U, x0, r, hypothesis_displacement=hypothesis_floor)
     if red.failed:
         return DiffuseOutcome(
             "Failed", False, {}, reduction=red.as_dict(), reason=red.reason

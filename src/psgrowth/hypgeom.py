@@ -4,7 +4,8 @@ cancellation overlap bound.
 
 Everything is exact: lengths are Fractions, and on the tree backends the
 axis of a hyperbolic element is computed from the cyclic reduction of its
-word, never from floating point or sampling.
+word, never from floating point or sampling.  Translation lengths come from
+the backends themselves; the rest reads only `is_tree` and `delta`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .spaces import ActionSpace, FiniteHypGraph, FreeGroupTree, FreeProductTree
-from .words import GroupElement, cyclic_reduce, primitive_root
+from .spaces import ActionSpace, AxisData
+from .words import GroupElement, primitive_root
 
 
 @dataclass(frozen=True)
@@ -127,67 +128,26 @@ def chain_certificate(space: ActionSpace, points: Sequence, alpha, beta=None) ->
     )
 
 
-@dataclass(frozen=True)
-class AxisData:
-    element: GroupElement
-    translation_length: Fraction
-    is_hyperbolic: bool
-    axis_segment: tuple = ()
-    min_point: object = None
-
-
 def translation_length(space: ActionSpace, g: GroupElement) -> AxisData:
-    """[g] = inf_x |gx - x|, with a witness.
-
-    Trees: exact via cyclic reduction; the axis segment returned is a
-    fundamental domain [p, gp] through a minimal-displacement vertex.
-    Finite graphs: exhaustive minimum over vertices; the segment is the
-    whole set C_g = {x : |gx - x| <= [g] + 8 delta}.
-    """
-    if isinstance(space, FreeGroupTree):
-        core, conj = cyclic_reduce(g)
-        length = core.word_length() * space.rho0
-        if length == 0:
-            return AxisData(g, Fraction(0), False, (conj,), conj)
-        anchor = conj
-        segment = tuple(space.geodesic(anchor, space.act(g, anchor)))
-        assert space.dist(anchor, space.act(g, anchor)) == length
-        return AxisData(g, length, True, segment, anchor)
-
-    if isinstance(space, FreeProductTree):
-        core, conj = cyclic_reduce(g)
-        m = core.syllable_count
-        if m <= 1:
-            fixed = space.vertex(conj, core.first_factor() if m else 0)
-            assert space.act(g, fixed) == fixed
-            return AxisData(g, Fraction(0), False, (fixed,), fixed)
-        anchor = space.vertex(conj, 1 - core.first_factor())
-        length = space.dist(anchor, space.act(g, anchor))
-        assert length == m * space.rho0, "free product translation length mismatch"
-        segment = tuple(space.geodesic(anchor, space.act(g, anchor)))
-        return AxisData(g, length, True, segment, anchor)
-
-    if isinstance(space, FiniteHypGraph):
-        disp = [(space.dist(v, space.act(g, v)), v) for v in range(space.n)]
-        length, argmin = min(disp)
-        cg = tuple(v for d, v in disp if d <= length + 8 * space.delta)
-        return AxisData(g, length, length > 0, cg, argmin)
-
-    raise TypeError(f"unsupported space {space!r}")
+    """[g] = inf_x |gx - x|, with a witness (see each backend's
+    `translation_length`)."""
+    return space.translation_length(g)
 
 
 def axis_distance(space: ActionSpace, axis: AxisData, x) -> Fraction:
     """Distance from a point to the axis of a hyperbolic isometry.
 
-    On trees this is exact: |gx - x| = [g] + 2 d(x, axis)."""
+    On trees this is exact: |gx - x| = [g] + 2 d(x, axis).  On finite
+    graphs it is the distance to the broken line L_g of
+    `invariant_line_points`."""
     if not axis.is_hyperbolic:
         raise ValueError("axis_distance needs a hyperbolic element")
-    if isinstance(space, (FreeGroupTree, FreeProductTree)):
+    if space.is_tree:
         return (space.dist(x, space.act(axis.element, x)) - axis.translation_length) / 2
-    return min(space.dist(x, v) for v in axis.axis_segment)
+    return min(space.dist(x, v) for v in invariant_line_points(space, axis))
 
 
-def invariant_line_points(space: FiniteHypGraph, axis: AxisData) -> tuple:
+def invariant_line_points(space: ActionSpace, axis: AxisData) -> tuple:
     """The broken line L_g through a minimal-displacement vertex: the union
     of geodesics [g^n x, g^{n+1} x] over one full orbit period of x."""
     g, x = axis.element, axis.min_point
@@ -210,14 +170,10 @@ def cylinder_membership(space: ActionSpace, x, e_root: GroupElement, margin) -> 
     Trees (delta = 0): the cylinder is the axis itself; membership is exact.
     Finite graphs: within margin + 100*delta of the broken line L_g.
     """
-    margin = Fraction(margin)
     axis = translation_length(space, e_root)
     if not axis.is_hyperbolic:
         raise ValueError("cylinder of an elliptic element is undefined here")
-    if isinstance(space, (FreeGroupTree, FreeProductTree)):
-        return axis_distance(space, axis, x) <= margin
-    line = invariant_line_points(space, axis)
-    return min(space.dist(x, v) for v in line) <= margin + 100 * space.delta
+    return axis_distance(space, axis, x) <= Fraction(margin) + 100 * space.delta
 
 
 def _same_maximal_loxodromic(a: GroupElement, b: GroupElement) -> bool:
@@ -266,9 +222,7 @@ def small_cancellation_diameter(
     ax_f = translation_length(space, f_root)
     if not (ax_e.is_hyperbolic and ax_f.is_hyperbolic):
         raise ValueError("both roots must be hyperbolic")
-    if isinstance(space, (FreeGroupTree, FreeProductTree)) and _same_maximal_loxodromic(
-        e_root, f_root
-    ):
+    if space.is_tree and _same_maximal_loxodromic(e_root, f_root):
         raise ValueError("E and E' coincide (equal primitive roots)")
     bound = (
         3 * consts.nu * max(ax_e.translation_length, ax_f.translation_length)
@@ -276,7 +230,7 @@ def small_cancellation_diameter(
         + 1684 * space.delta
     )
 
-    if isinstance(space, FiniteHypGraph):
+    if not space.is_tree:
         line_e = invariant_line_points(space, ax_e)
         line_f = invariant_line_points(space, ax_f)
         members = [

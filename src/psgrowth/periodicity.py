@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .hypgeom import AxisData, Constants, axis_distance, translation_length
-from .spaces import ActionSpace, FiniteHypGraph, FreeGroupTree, FreeProductTree
+from .spaces import ActionSpace
 from .words import ElementSet, GroupElement, power_of, primitive_root, product_level
 
 
@@ -68,25 +68,12 @@ class PeriodCertificate:
         }
 
 
-def _tree_like(space) -> bool:
-    return isinstance(space, (FreeGroupTree, FreeProductTree))
-
-
 def _normalized_root(space: ActionSpace, e_root: GroupElement) -> tuple[GroupElement, AxisData]:
     root, _ = primitive_root(e_root)
     axis = translation_length(space, root)
     if not axis.is_hyperbolic:
         raise ValueError("E_root must be hyperbolic")
     return root, axis
-
-
-def _cylinder_distance(space, axis: AxisData, x) -> Fraction:
-    if _tree_like(space):
-        return axis_distance(space, axis, x)
-    from .hypgeom import invariant_line_points
-
-    line = invariant_line_points(space, axis)
-    return min(space.dist(x, v) for v in line)
 
 
 def period_threshold(space: ActionSpace, e_length: Fraction, threshold=None) -> Fraction:
@@ -106,8 +93,8 @@ def is_periodic(
     tval = period_threshold(space, axis.translation_length, threshold)
     mode = "paper" if threshold is None else "practical"
 
-    d_x0 = _cylinder_distance(space, axis, x0)
-    d_vx0 = _cylinder_distance(space, axis, space.act(v, x0))
+    d_x0 = axis_distance(space, axis, x0)
+    d_vx0 = axis_distance(space, axis, space.act(v, x0))
     disp = space.dist(x0, space.act(v, x0))
     checks = (
         Check("x0_in_cylinder", d_x0, margin, d_x0 <= margin),
@@ -216,8 +203,8 @@ def extract_period_from_equations(
     margin = 190 * delta
     for (ui, uj), h in zip(consecutive, conn):
         ax = translation_length(space, h)
-        d0 = _cylinder_distance(space, ax, x0)
-        d1 = _cylinder_distance(space, ax, vx0)
+        d0 = axis_distance(space, ax, x0)
+        d1 = axis_distance(space, ax, vx0)
         checks.append(Check("x0_in_connector_cylinder", d0, margin, d0 <= margin))
         checks.append(Check("vx0_in_connector_cylinder", d1, margin, d1 <= margin))
         p1 = space.gromov_product(x0, pts[uj], pts[ui])
@@ -317,7 +304,7 @@ def e_reduce(space: ActionSpace, t: GroupElement, e_root: GroupElement, x0):
     sufficiency is certified by checking the window boundary is
     nondecreasing (displacement is unimodal in each power on trees)."""
     root, axis = _normalized_root(space, e_root)
-    if _cylinder_distance(space, axis, x0) != 0:
+    if axis_distance(space, axis, x0) != 0:
         raise ValueError("x0 must lie on the axis of the root")
     if power_of(t, root) is not None:
         return Refusal("InE", detail=str(t))
@@ -414,7 +401,7 @@ def pingpong_certify(
             True, Fraction(0), Fraction(0), Fraction(0), counts, (), "singleton"
         )
 
-    d_x0 = _cylinder_distance(space, axis, x0)
+    d_x0 = axis_distance(space, axis, x0)
     checks.append(Check("x0_on_axis", d_x0, Fraction(0), d_x0 == 0))
     if not checks[-1].ok:
         return PingPongCertificate(
@@ -497,7 +484,7 @@ def pingpong_certify(
     steps += [space.dist(x0, space.act(t_inv * g, x0)) for g in gamma_inv]
     min_step = min(steps)
 
-    if isinstance(space, FiniteHypGraph) and space.delta > 0:
+    if space.delta > 0:
         alpha = min_step / 2 - max_product - space.delta
         needed = 9 * space.delta
         certified = alpha >= needed
@@ -546,7 +533,7 @@ def separate(space: ActionSpace, V: ElementSet, r: int, x0, e_root: GroupElement
     if r < 1:
         raise ValueError("r must be >= 1")
     root, axis = _normalized_root(space, e_root)
-    if _cylinder_distance(space, axis, x0) != 0:
+    if axis_distance(space, axis, x0) != 0:
         raise ValueError("x0 must lie on the axis of the root")
     powers = {}
     for v in V:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .energy import energy_at
+from .energy import energy_at, minimize_energy
 from .exactmath import log2_upper
-from .spaces import ActionSpace, FiniteHypGraph, FreeGroupTree, FreeProductTree
+from .spaces import ActionSpace
 from .treeapprox import approximate_tree
 from .words import ElementSet, GroupElement
 
@@ -114,7 +114,7 @@ def certify_cross_products(
     O(k log k) for k elements, rather than pair by pair.  Elsewhere every
     pair is compared through the three-distance formula, which is also the
     test oracle for the tree path."""
-    if isinstance(space, (FreeGroupTree, FreeProductTree)):
+    if space.is_tree:
         labels: dict = {}
         for u in chain(U1, U2):
             if u not in labels:
@@ -227,7 +227,7 @@ def reduce_tree(
     mass.  The minimal-energy sanity bound (no sphere point carries more
     than 2/3 of U on both sides) is verified and its violation reported as
     a Failed result with the witness counts."""
-    if not isinstance(space, (FreeGroupTree, FreeProductTree)):
+    if not space.is_tree:
         raise ValueError("reduce_tree needs a tree backend")
     ctx = U.context
     r = Fraction(r)
@@ -298,6 +298,20 @@ def reduce_tree(
         peel_rounds=len(trace),
         peel_trace=trace,
     )
+
+
+def reduce_at(
+    space: ActionSpace, U: ElementSet, x0, r=None, hypothesis_displacement=None
+) -> ReductionResult:
+    """The reduction route of the backend: the sphere peel at radius r
+    (default rho0) on trees, the sphere-pair search on graphs with
+    delta = 0, and the tree-approximation route when delta > 0."""
+    if space.is_tree:
+        r = space.rho0 if r is None else r
+        return reduce_tree(space, U, x0, r, hypothesis_displacement=hypothesis_displacement)
+    if space.delta == 0:
+        return reduce_graph(space, U, x0)
+    return reduce_via_tree_approx(space, U, x0)
 
 
 def reduce_graph(space: ActionSpace, U: ElementSet, x0) -> ReductionResult:
@@ -413,12 +427,7 @@ def reduce_graph(space: ActionSpace, U: ElementSet, x0) -> ReductionResult:
 
     # lemma says this contradicts minimal energy; report the witness mass
     mass = max((len(us) for _, us in near), default=0)
-    if isinstance(space, FiniteHypGraph):
-        true_min = min(energy_at(space, U, v) for v in range(space.n))
-    else:
-        from .energy import minimize_energy
-
-        true_min = minimize_energy(space, U).energy
+    true_min = minimize_energy(space, U).energy
     reason = (
         "BasePointNotMinimal"
         if energy_at(space, U, x0) > true_min

@@ -18,14 +18,20 @@ scoped to the convex hull of explicitly supplied points.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .words import FREE_PRODUCT, GroupElement, PresentationContext, free_group, parse
-
-Length = Fraction
+from .words import (
+    FREE_PRODUCT,
+    GroupElement,
+    PresentationContext,
+    cyclic_reduce,
+    free_group,
+    parse,
+)
 
 
 def _as_fraction(x) -> Fraction:
@@ -42,6 +48,19 @@ def _check_steps(k: int, length: int) -> None:
         raise ValueError(f"no vertex {k} edges along a geodesic of {length} edges")
 
 
+@dataclass(frozen=True)
+class AxisData:
+    """A translation length [g] with its witness: for a hyperbolic g, a
+    segment along its axis (trees) or the set C_g (finite graphs), and a
+    vertex of minimal displacement."""
+
+    element: GroupElement
+    translation_length: Fraction
+    is_hyperbolic: bool
+    axis_segment: tuple = ()
+    min_point: object = None
+
+
 class ActionSpace:
     """Common interface of the metric backends."""
 
@@ -50,9 +69,25 @@ class ActionSpace:
     kappa0: Fraction
     N0: int
     context: Optional[PresentationContext]
+    # the tree backends: delta = 0, and the tree-only methods `point_at`
+    # and `orbit_labels` exist
+    is_tree = False
 
     # subclasses implement: dist, act, geodesic, sphere, basepoint,
-    # check_point, point_key, encode_point
+    # check_point, point_key, encode_point, translation_length
+
+    def _set_scale(self, rho0, kappa0, N0) -> None:
+        """Store the edge length rho0, the acylindricity distance kappa0
+        (default rho0) and the count N0, each checked positive."""
+        self.rho0 = _as_fraction(rho0)
+        if self.rho0 <= 0:
+            raise ValueError("rho0 must be positive")
+        self.kappa0 = _as_fraction(kappa0) if kappa0 is not None else self.rho0
+        if self.kappa0 <= 0:
+            raise ValueError("kappa0 must be positive")
+        if N0 < 1:
+            raise ValueError("N0 must be a positive integer")
+        self.N0 = N0
 
     def gromov_product(self, p, q, x) -> Fraction:
         return (self.dist(p, x) + self.dist(q, x) - self.dist(p, q)) / 2
@@ -81,13 +116,11 @@ class ActionSpace:
 class FreeGroupTree(ActionSpace):
     """Cayley tree of a free group; vertices are the group elements."""
 
+    is_tree = True
+
     def __init__(self, rank: int, rho0=1, kappa0=None, N0: int = 1):
         self.context = free_group(rank)
-        self.rho0 = _as_fraction(rho0)
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
-        self.kappa0 = _as_fraction(kappa0) if kappa0 is not None else self.rho0
-        self.N0 = N0
+        self._set_scale(rho0, kappa0, N0)
         self.delta = Fraction(0)
 
     def __repr__(self):
@@ -147,6 +180,17 @@ class FreeGroupTree(ActionSpace):
         labels = tuple((x.inverse() * g * x).letters())
         return labels, tuple((h, -s) for h, s in reversed(labels))
 
+    def translation_length(self, g: GroupElement) -> AxisData:
+        """[g] exactly, via cyclic reduction: the axis segment is a
+        fundamental domain [p, gp] through a minimal-displacement vertex."""
+        core, conj = cyclic_reduce(g)
+        length = core.word_length() * self.rho0
+        if length == 0:
+            return AxisData(g, Fraction(0), False, (conj,), conj)
+        end = self.act(g, conj)
+        assert self.dist(conj, end) == length
+        return AxisData(g, length, True, tuple(self.geodesic(conj, end)), conj)
+
     def sphere(self, x, r, scope: Optional[Sequence] = None, cap: int = 200_000) -> list:
         k = self.steps(r)
         if scope is not None:
@@ -194,6 +238,8 @@ class FreeProductTree(ActionSpace):
     (kappa, 1)-acylindrical for any kappa > 0.
     """
 
+    is_tree = True
+
     def __init__(self, orders, rho0=1, kappa0=None, N0: int = 1):
         orders = tuple(orders)
         if len(orders) != 2:
@@ -202,11 +248,7 @@ class FreeProductTree(ActionSpace):
                 "use words.free_product for bare arithmetic with more"
             )
         self.context = PresentationContext(FREE_PRODUCT, orders=orders)
-        self.rho0 = _as_fraction(rho0)
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
-        self.kappa0 = _as_fraction(kappa0) if kappa0 is not None else self.rho0
-        self.N0 = N0
+        self._set_scale(rho0, kappa0, N0)
         self.delta = Fraction(0)
 
     def __repr__(self):
@@ -331,6 +373,22 @@ class FreeProductTree(ActionSpace):
             return (TAG_STEP,) + syllables
         return syllables
 
+    def translation_length(self, g: GroupElement) -> AxisData:
+        """[g] exactly, via cyclic reduction: an elliptic g fixes a vertex;
+        a hyperbolic one translates by its cyclic syllable count, and the
+        axis segment is a fundamental domain [p, gp]."""
+        core, conj = cyclic_reduce(g)
+        m = core.syllable_count
+        if m <= 1:
+            fixed = self.vertex(conj, core.first_factor() if m else 0)
+            assert self.act(g, fixed) == fixed
+            return AxisData(g, Fraction(0), False, (fixed,), fixed)
+        anchor = self.vertex(conj, 1 - core.first_factor())
+        end = self.act(g, anchor)
+        length = self.dist(anchor, end)
+        assert length == m * self.rho0, "free product translation length mismatch"
+        return AxisData(g, length, True, tuple(self.geodesic(anchor, end)), anchor)
+
     def sphere(self, x, r, scope: Optional[Sequence] = None) -> list:
         if scope is None:
             raise ValueError("FreeProductTree spheres require a scope")
@@ -391,10 +449,7 @@ class FiniteHypGraph(ActionSpace):
         for i, j in self.edges:
             if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
                 raise ValueError(f"bad edge ({i},{j})")
-        self.rho0 = _as_fraction(rho0)
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
-        self.N0 = N0
+        self._set_scale(rho0, kappa0, N0)
 
         self._adj = [[] for _ in range(self.n)]
         for i, j in self.edges:
@@ -408,8 +463,7 @@ class FiniteHypGraph(ActionSpace):
             raise ValueError("graph is disconnected")
 
         self.delta = self._four_point_delta()
-        user_kappa = _as_fraction(kappa0) if kappa0 is not None else self.rho0
-        self.kappa0 = max(self.delta, user_kappa)
+        self.kappa0 = max(self.delta, self.kappa0)
 
         self.generators = [tuple(p) for p in generators]
         for p in self.generators:
@@ -524,6 +578,14 @@ class FiniteHypGraph(ActionSpace):
             path.append(pred[path[-1]])
         path.reverse()
         return path
+
+    def translation_length(self, g: GroupElement) -> AxisData:
+        """[g] as an exhaustive minimum over vertices; the segment is the
+        whole set C_g = {x : |gx - x| <= [g] + 8 delta}."""
+        disp = [(self.dist(v, self.act(g, v)), v) for v in range(self.n)]
+        length, argmin = min(disp)
+        cg = tuple(v for d, v in disp if d <= length + 8 * self.delta)
+        return AxisData(g, length, length > 0, cg, argmin)
 
     def sphere(self, x, r, scope=None) -> list:
         self.check_point(x)

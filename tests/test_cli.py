@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import psgrowth
 from psgrowth.cli import main
 
@@ -145,6 +147,54 @@ def test_pingpong_budget_exit_3(tmp_path):
     # |(Vt)^2| = 9 distinct products outgrow a budget of 5
     p = write_cfg(tmp_path, PINGPONG_CFG)
     assert main(["--config", str(p), "--out", str(tmp_path / "o"), "--budget", "5"]) == 3
+
+
+PATH_GRAPH = {
+    "backend": "graph",
+    "graph": {"vertices": 3, "edges": [[0, 1], [1, 2]], "generators": [[2, 1, 0]]},
+}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(GROWTH_CFG, space={"backend": "free_group", "rank": 2, "kappa0": "0"}),
+        dict(
+            GROWTH_CFG,
+            space=dict(PATH_GRAPH, kappa0="0"),
+            set={"kind": "explicit", "elements": ["a"]},
+        ),
+        dict(GROWTH_CFG, space={"backend": "free_group", "rank": 2, "rho0": "1/0"}),
+        dict(
+            GROWTH_CFG,
+            space={"backend": "graph", "graph": {"vertices": 3, "edges": [0, 1]}},
+        ),
+        dict(
+            GROWTH_CFG,
+            space={
+                "backend": "graph",
+                "graph": {"vertices": 3, "edges": [[0, 1], [1, 2]], "generators": [2]},
+            },
+        ),
+        dict(PINGPONG_CFG, pingpong=dict(PINGPONG_CFG["pingpong"], powers=[])),
+    ],
+    ids=[
+        "kappa0_zero_free_group",
+        "kappa0_zero_path_graph",
+        "rational_zero_denominator",
+        "edges_not_pairs",
+        "generator_not_array",
+        "pingpong_no_powers",
+    ],
+)
+def test_bad_config_exit_4(tmp_path, cfg, capsys):
+    # each one passed the schema and then crashed (or, for the empty powers,
+    # exited 4 with an internal message), instead of a plain config error
+    p = write_cfg(tmp_path, cfg)
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "min() arg" not in err
 
 
 def test_period_command(tmp_path):

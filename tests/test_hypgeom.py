@@ -385,6 +385,32 @@ def test_invariant_line_contains_cg_30delta():
             assert min(g.dist(v, p) for p in line) <= 30 * g.delta
 
 
+def test_axis_distance_on_a_graph_is_the_distance_to_the_line():
+    # the sun graph: C_8 with one pendant vertex per cycle vertex, the
+    # rotation acting on both.  Its line L_g is the cycle, so every pendant
+    # is one edge off it, although all of them lie in C_g (displacement 3
+    # against [g] + 8 delta = 17)
+    from psgrowth.hypgeom import invariant_line_points
+    from psgrowth.periodicity import is_periodic
+
+    n = 8
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    perm = [(i + 1) % n for i in range(n)] + [n + (i + 1) % n for i in range(n)]
+    sun = FiniteHypGraph(2 * n, edges, [perm])
+    assert sun.delta == 2
+    rot = sun.context.generator(0)
+    ax = translation_length(sun, rot)
+    line = invariant_line_points(sun, ax)
+    for v in range(2 * n):
+        d = axis_distance(sun, ax, v)
+        assert d == min(sun.dist(v, p) for p in line)
+        assert d == (0 if v < n else 1)
+    # the periodicity check from a pendant base point reads the same distance
+    check = is_periodic(sun, rot**2, rot, n).checks[0]
+    assert check.name == "x0_in_cylinder"
+    assert check.lhs == 1
+
+
 def test_elliptic_displacement_bound_wheel():
     # wheel graph: rotations fix the hub; for the elliptic set of rotations
     # the displacement bound lambda_0 <= 2 kappa_0 + 15 delta holds at the

@@ -9,12 +9,13 @@ from psgrowth.energy import minimize_energy
 from psgrowth.reduction import (
     certify_cross_products,
     median_split,
+    reduce_at,
     reduce_graph,
     reduce_tree,
     reduce_via_tree_approx,
     reduced_at,
 )
-from psgrowth.spaces import FiniteHypGraph
+from psgrowth.spaces import FiniteHypGraph, cycle_graph
 from psgrowth.words import ElementSet, random_reduced_word, safin_family
 
 from conftest import TREES, w
@@ -216,6 +217,28 @@ def test_reduce_graph_on_free_product_tree(z2z3_tree):
     x0 = minimize_energy(t, U).base_point
     res = reduce_graph(t, U, x0)
     assert res.failed or res.certified
+
+
+def test_reduce_at_takes_the_route_of_the_backend(f2_tree):
+    rng = random.Random(70)
+    U = random_diffuse_set(rng, f2_tree.context, 60)
+    x0 = minimize_energy(f2_tree, U).base_point
+    assert reduce_at(f2_tree, U, x0).as_dict() == reduce_tree(f2_tree, U, x0, 1).as_dict()
+    assert (
+        reduce_at(f2_tree, U, x0, 2, hypothesis_displacement=3).as_dict()
+        == reduce_tree(f2_tree, U, x0, 2, hypothesis_displacement=3).as_dict()
+    )
+    path = FiniteHypGraph(9, [(i, i + 1) for i in range(8)], [list(range(8, -1, -1))])
+    assert path.delta == 0
+    V = eset(path, "a", "aa", "aaa")
+    for x in (0, 4):
+        assert reduce_at(path, V, x).as_dict() == reduce_graph(path, V, x).as_dict()
+    c8 = cycle_graph(8)
+    assert c8.delta > 0
+    V = eset(c8, "a", "aa", "aaa")
+    via = reduce_at(c8, V, 0).as_dict()
+    assert via == reduce_via_tree_approx(c8, V, 0).as_dict()
+    assert via != reduce_graph(c8, V, 0).as_dict()
 
 
 # ---------------------------------------------------------------------------

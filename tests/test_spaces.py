@@ -1,11 +1,14 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import psgrowth
 from psgrowth.spaces import (
     FiniteHypGraph,
     FreeGroupTree,
@@ -353,3 +356,78 @@ def test_estimate_delta_rejects_a_wrong_stored_delta():
     c6.delta = Fraction(2)
     with pytest.raises(RuntimeError, match="stored delta 2"):
         estimate_delta(c6)
+
+
+# ---------------------------------------------------------------------------
+# the shared protocol
+
+
+BACKENDS = {"FreeGroupTree", "FreeProductTree", "FiniteHypGraph"}
+
+
+def backend_type_checks(source: str) -> list:
+    """Line numbers of the `isinstance` calls that name a backend class."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node.args[1])
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if names & BACKENDS:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_backend_type_checks_finder():
+    src = "isinstance(s, (FreeGroupTree, spaces.FiniteHypGraph))\nisinstance(s, int)\n"
+    assert backend_type_checks(src) == [1]
+
+
+def test_no_backend_type_checks_outside_spaces():
+    # only spaces.py knows which backend it holds; every other module asks
+    # the space: `is_tree`, `delta` and the backend's own methods
+    package = Path(psgrowth.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if path.name != "spaces.py"
+        and (lines := backend_type_checks(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_is_tree_is_a_class_capability():
+    assert FreeGroupTree.is_tree and FreeProductTree.is_tree
+    assert not FiniteHypGraph.is_tree
+    assert FreeGroupTree(2).is_tree and not cycle_graph(5).is_tree
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda **kw: FreeGroupTree(2, **kw),
+        lambda **kw: FreeProductTree((5, 7), **kw),
+        lambda **kw: FiniteHypGraph(3, [(0, 1), (1, 2)], [[2, 1, 0]], **kw),
+    ],
+    ids=["F2", "Z5*Z7", "path"],
+)
+def test_scale_is_checked_the_same_on_every_backend(make):
+    for bad in ({"rho0": 0}, {"rho0": -1}, {"kappa0": 0}, {"kappa0": "-1/2"}, {"N0": 0}):
+        with pytest.raises(ValueError):
+            make(**bad)
+    space = make(rho0=2, N0=3)
+    assert (space.rho0, space.kappa0, space.N0) == (2, 2, 3)
+    assert make(kappa0="5/2").kappa0 == Fraction(5, 2)
+
+
+def test_graph_kappa0_is_at_least_delta():
+    c8 = FiniteHypGraph(8, [(i, (i + 1) % 8) for i in range(8)], kappa0=1)
+    assert c8.delta == 2
+    assert c8.kappa0 == 2
