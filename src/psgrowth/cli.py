@@ -233,6 +233,11 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     command = cfg["command"]
     seed = cfg.get("seed", 0)
     budget = cfg.get("budget", 10_000_000)
+    if cfg["space"]["backend"] == "graph" and "graph" in cfg["space"]:
+        # the graph's four-point delta takes every vertex quadruple at once
+        n = cfg["space"]["graph"]["vertices"]
+        if n**4 > budget:
+            raise BudgetExceededError(f"{n} vertices make {n**4} quadruples")
     space = build_space(cfg)
     mode = build_mode(cfg)
     report: dict = {"config_echo": cfg, "command": command}

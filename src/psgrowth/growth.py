@@ -285,11 +285,10 @@ def concentrated_pipeline(
         return ConcentratedOutcome(False, len(u1), 0, None, {}, "NoHyperbolicWitness")
     v = max(candidates, key=lambda u: (disp[u], u.sort_key()))
 
-    geo = space.geodesic(x0, space.act(v, x0))
+    vx0 = space.act(v, x0)
     steps = min(space.steps(offset) if (offset / space.rho0).denominator == 1 else 1,
-                len(geo) - 1)
-    steps = max(steps, 1)
-    m = geo[steps]
+                space.steps(disp[v]))
+    m = space.point_at(x0, vx0, steps)
 
     u2 = []
     taken_points = []
@@ -302,7 +301,6 @@ def concentrated_pipeline(
         return ConcentratedOutcome(False, len(u1), 0, v, {}, "SpacingLeftNothing")
 
     # chain data: products (u v x0, u' v x0)_{x0} and step lengths
-    vx0 = space.act(v, x0)
     pts = {u: space.act(u, vx0) for u in u2}
     max_prod = Fraction(0)
     for i, ua in enumerate(u2):
@@ -447,7 +445,8 @@ def diffuse_pipeline(
         if Fraction(distinct) > need:
             continue
         # count <= |U1||W|/(2c) with 2c > 1 forces a collision class of >= 2
-        assert len(eqs_pairs) >= 2
+        if len(eqs_pairs) < 2:
+            raise RuntimeError(f"no collision class of two or more for {v}")
         eqs = [(u, v, w_) for u, w_ in eqs_pairs]
         res = extract_period_from_equations(
             space, eqs, x0, threshold, paper_mode=(mode.name == "paper")

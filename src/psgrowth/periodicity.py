@@ -326,15 +326,19 @@ def e_reduce(space: ActionSpace, t: GroupElement, e_root: GroupElement, x0):
     if abs(p_star) >= W or abs(q_star) >= W:
         raise RuntimeError("e_reduce window certified insufficient; widen it")
     # boundary monotonicity in each variable
-    assert disp(W, q_star) >= disp(W - 1, q_star)
-    assert disp(-W, q_star) >= disp(-W + 1, q_star)
-    assert disp(p_star, W) >= disp(p_star, W - 1)
-    assert disp(p_star, -W) >= disp(p_star, -W + 1)
+    if not (
+        disp(W, q_star) >= disp(W - 1, q_star)
+        and disp(-W, q_star) >= disp(-W + 1, q_star)
+        and disp(p_star, W) >= disp(p_star, W - 1)
+        and disp(p_star, -W) >= disp(p_star, -W + 1)
+    ):
+        raise RuntimeError("e_reduce window boundary is not monotone")
 
     e = powers[p_star]
     f = powers[q_star]
     t_prime = e.inverse() * t * f.inverse()
-    assert e * t_prime * f == t
+    if e * t_prime * f != t:
+        raise RuntimeError("e_reduce factors do not multiply back to t")
     return e, t_prime, f
 
 
@@ -560,7 +564,9 @@ def separate(space: ActionSpace, V: ElementSet, r: int, x0, e_root: GroupElement
 
     e_len = axis.translation_length
     for v in out:
-        assert space.dist(x0, space.act(v, x0)) >= r * e_len
+        if space.dist(x0, space.act(v, x0)) < r * e_len:
+            raise RuntimeError(f"separate kept {v}, which moves x0 less than r [E]")
     for va, vb in itertools.combinations(out, 2):
-        assert space.dist(space.act(va, x0), space.act(vb, x0)) >= r * e_len
+        if space.dist(space.act(va, x0), space.act(vb, x0)) < r * e_len:
+            raise RuntimeError(f"separate kept {va} and {vb} closer than r [E]")
     return out

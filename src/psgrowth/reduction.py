@@ -5,10 +5,16 @@ bounded-geometry graphs, and the tree-approximation route for delta > 0.
 A certified result is never trusted from the construction: every returned
 pair of sets is rechecked against its tolerance through the exact maxima of
 its cross Gromov products over all pairs, which are recorded in the result.
+
+The routes share one skeleton: the pair search and the tree-approximation
+route start from one far-mover filter (`_far_mover_route`), the tree peel
+and the tree-approximation route end in one peel (`_peel_and_certify`), and
+every success goes through one certify-and-report step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -152,40 +158,31 @@ def certify_cross_products(
     return ok, maxima
 
 
-def _entry_points(space, labels: dict, x0, r_steps):
-    """For each qualifying u, given its `orbit_labels` at x0: the sphere
-    points where the geodesics [x0, u x0] and [x0, u^-1 x0] cross radius r.
-    Two geodesics from x0 cross it at the same point exactly when their
-    first r edge labels agree, so each point is built once."""
-    points: dict = {}
-
-    def at(path_labels, g):
-        prefix = path_labels[:r_steps]
-        if prefix not in points:
-            points[prefix] = space.point_at(x0, space.act(g, x0), r_steps)
-        return points[prefix]
-
-    return {u: (at(out, u), at(back, u.inverse())) for u, (out, back) in labels.items()}
+def _certify_and_report(
+    space, x0, ctx, tol, branch, reason, u1: list, u2: list, counts: dict, **fields
+) -> ReductionResult:
+    """The one success exit of every route: U1 and U2 from the chosen
+    elements, rechecked by `certify_cross_products` at tolerance tol."""
+    U1 = ElementSet(ctx, u1)
+    U2 = U1 if u2 is u1 else ElementSet(ctx, u2)
+    ok, maxima = certify_cross_products(space, U1, U2, x0, tol)
+    return ReductionResult(U1, U2, tol, ok, branch, reason, maxima, counts, **fields)
 
 
-def _peel(space, qualifying, entry, U_size):
+def _peel(keyed: dict, U_size: int):
     """The A/B peeling recursion over the hit sphere points S'.
 
-    The partition state (A, B disjoint with union S') is rebuilt from the
-    membership definitions every round; stops at the first round where a
-    cross family exceeds |U|/100, else at the first round where U_{B,B}
-    crosses |U|/100.  Peeling order: smallest sphere-point key first."""
-    sphere_pts = sorted(
-        {space.point_key(y) for y, _ in entry.values()}
-        | {space.point_key(z) for _, z in entry.values()}
-    )
-    keyed = {
-        u: (space.point_key(y), space.point_key(z)) for u, (y, z) in entry.items()
-    }
+    `keyed` maps each qualifying u, in qualifying order, to the keys of the
+    sphere points of its two directions.  The partition state (A, B disjoint
+    with union S') is rebuilt from the membership definitions every round;
+    stops at the first round where a cross family exceeds |U|/100, else at
+    the first round where U_{B,B} crosses |U|/100.  Peeling order: smallest
+    sphere-point key first."""
+    sphere_pts = sorted({y for y, _ in keyed.values()} | {z for _, z in keyed.values()})
     hundredth = Fraction(U_size, 100)
 
     def members(A, B):
-        return [u for u in qualifying if keyed[u][0] in A and keyed[u][1] in B]
+        return [u for u, (y, z) in keyed.items() if y in A and z in B]
 
     A = set(sphere_pts)
     B: set = set()
@@ -206,6 +203,30 @@ def _peel(space, qualifying, entry, U_size):
         if len(bb) > hundredth:
             return members(A, A), bb, trace, "split_AA_BB"
     return [], [], trace, "exhausted"
+
+
+def _peel_and_certify(
+    space, x0, ctx, tol, branch, keyed: dict, U_size: int, discarded: int = 0
+) -> ReductionResult:
+    """The tail of the sphere peel and of the tree-approximation route."""
+    u1, u2, trace, how = _peel(keyed, U_size)
+    if not u1 or not u2:
+        return _failed(ctx, tol, "PeelingExhausted", rounds=len(trace))
+    return _certify_and_report(
+        space,
+        x0,
+        ctx,
+        tol,
+        branch,
+        how,
+        u1,
+        u2,
+        {"qualifying": len(keyed), "u1": len(u1), "u2": len(u2)},
+        discarded_mass=discarded,
+        cardinality_ok=100 * len(u1) >= U_size and 100 * len(u2) >= U_size,
+        peel_rounds=len(trace),
+        peel_trace=trace,
+    )
 
 
 def reduce_tree(
@@ -254,49 +275,42 @@ def reduce_tree(
             total=len(U),
         )
     qualifying = [u for u in U if moved[u] >= 4 * r]
-    discarded = len(U) - len(qualifying)
     if not qualifying:
         return _failed(ctx, r, "NothingAboveFourR", total=len(U))
 
-    entry = _entry_points(space, {u: labels[u] for u in qualifying}, x0, r_steps)
+    # two geodesics from x0 cross radius r at the same point exactly when
+    # their first r edge labels agree, so each sphere point is built once
+    keys: dict = {}
+
+    def key(path_labels, g):
+        prefix = path_labels[:r_steps]
+        if prefix not in keys:
+            point = space.point_at(x0, space.act(g, x0), r_steps)
+            keys[prefix] = space.point_key(point)
+        return keys[prefix]
+
+    keyed = {
+        u: (key(labels[u][0], u), key(labels[u][1], u.inverse())) for u in qualifying
+    }
 
     # minimal-energy sanity: no single sphere point dominates both sides
     per_point: dict = {}
-    for u, (y, z) in entry.items():
-        if space.point_key(y) == space.point_key(z):
-            per_point[space.point_key(y)] = per_point.get(space.point_key(y), 0) + 1
-    for key, count in per_point.items():
+    for y, z in keyed.values():
+        if y == z:
+            per_point[y] = per_point.get(y, 0) + 1
+    for y, count in per_point.items():
         if 3 * count > 2 * len(U):
             return _failed(
                 ctx,
                 r,
                 "MinimalEnergyViolated",
-                witness_point=str(key),
+                witness_point=str(y),
                 mass=count,
                 total=len(U),
             )
 
-    u1_list, u2_list, trace, how = _peel(space, qualifying, entry, len(U))
-    if not u1_list or not u2_list:
-        return _failed(ctx, r, "PeelingExhausted", rounds=len(trace))
-
-    U1 = ElementSet(ctx, u1_list)
-    U2 = ElementSet(ctx, u2_list)
-    ok, maxima = certify_cross_products(space, U1, U2, x0, r)
-    cardinality_ok = 100 * len(U1) >= len(U) and 100 * len(U2) >= len(U)
-    return ReductionResult(
-        U1,
-        U2,
-        r,
-        ok,
-        TREE_RECURSION,
-        reason=how,
-        max_products=maxima,
-        counts={"qualifying": len(qualifying), "u1": len(U1), "u2": len(U2)},
-        discarded_mass=discarded,
-        cardinality_ok=cardinality_ok,
-        peel_rounds=len(trace),
-        peel_trace=trace,
+    return _peel_and_certify(
+        space, x0, ctx, r, TREE_RECURSION, keyed, len(U), len(U) - len(qualifying)
     )
 
 
@@ -314,6 +328,30 @@ def reduce_at(
     return reduce_via_tree_approx(space, U, x0)
 
 
+def _far_mover_route(space, U: ElementSet, x0, radius, finish) -> ReductionResult:
+    """The shared part of the pair search and the tree-approximation route.
+
+    The tolerance is the working radius rounded up to whole edges (at least
+    one).  Each u in U that moves x0 at least 4 * tolerance both ways is
+    passed on as (u, u x0, u^-1 x0), to `finish(space, U, x0, tol, far)`,
+    once at least 3/4 of U does."""
+    ctx = U.context
+    if len(U) <= 1:
+        return _failed(ctx, 0, "TooSmall")
+    tol = max(1, math.ceil(radius / space.rho0)) * space.rho0
+    far = []
+    for u in U:
+        ux = space.act(u, x0)
+        vx = space.act(u.inverse(), x0)
+        if space.dist(x0, ux) >= 4 * tol and space.dist(x0, vx) >= 4 * tol:
+            far.append((u, ux, vx))
+    if 4 * len(far) < 3 * len(U):
+        return _failed(
+            ctx, tol, "ConcentratedOrBelow", qualifying=len(far), total=len(U)
+        )
+    return finish(space, U, x0, tol, far)
+
+
 def reduce_graph(space: ActionSpace, U: ElementSet, x0) -> ReductionResult:
     """Sphere-pair reduction in bounded geometry, with b = |B(x0, radius)|.
 
@@ -322,50 +360,23 @@ def reduce_graph(space: ActionSpace, U: ElementSet, x0) -> ReductionResult:
     separated centers; tolerance 1000*delta (one edge when delta = 0).
     Tree backends are bounded-geometry graphs too (uniform valence), so
     they are accepted alongside finite graphs."""
+    return _far_mover_route(space, U, x0, 1000 * space.delta, _pair_search)
+
+
+def _pair_search(space, U: ElementSet, x0, tol, far) -> ReductionResult:
+    """The far pair, else the two near-diagonal pairs, of `reduce_graph`."""
     ctx = U.context
-    if len(U) <= 1:
-        return _failed(ctx, 0, "TooSmall")
-
-    delta = space.delta
-    if delta > 0:
-        radius = 1000 * delta
-        sep_small = 6 * delta
-        sep_big = 100 * delta
-        tol = 1000 * delta
-    else:
-        radius = space.rho0
-        sep_small = Fraction(0)
-        sep_big = Fraction(0)
-        tol = space.rho0
-    r_steps = space.steps(radius) if (radius / space.rho0).denominator == 1 else None
-    if r_steps is None or r_steps < 1:
-        # delta not a multiple of rho0: round the sphere radius up a step
-        r_steps = max(1, -int(-radius / space.rho0 // 1))
-        radius = r_steps * space.rho0
-
-    b = space.ball_size(x0, radius)
+    r_steps = space.steps(tol)
+    sep_small = 6 * space.delta
+    sep_big = 100 * space.delta
+    b = space.ball_size(x0, tol)
     threshold = Fraction(len(U), 100 * b * b)
-
-    qualifying = []
-    entry = {}
-    for u in U:
-        ux = space.act(u, x0)
-        vx = space.act(u.inverse(), x0)
-        if space.dist(x0, ux) < 4 * radius or space.dist(x0, vx) < 4 * radius:
-            continue
-        gy = space.geodesic(x0, ux)[r_steps]
-        gz = space.geodesic(x0, vx)[r_steps]
-        qualifying.append(u)
-        entry[u] = (gy, gz)
-    if 4 * len(qualifying) < 3 * len(U):
-        return _failed(
-            ctx, tol, "ConcentratedOrBelow", qualifying=len(qualifying), total=len(U)
-        )
 
     members: dict = {}
     points: dict = {}
-    for u in qualifying:
-        y, z = entry[u]
+    for u, ux, vx in far:
+        y = space.point_at(x0, ux, r_steps)
+        z = space.point_at(x0, vx, r_steps)
         key = (space.point_key(y), space.point_key(z))
         members.setdefault(key, []).append(u)
         points[key] = (y, z)
@@ -375,17 +386,16 @@ def reduce_graph(space: ActionSpace, U: ElementSet, x0) -> ReductionResult:
         y, z = points[key]
         us = members[key]
         if space.dist(y, z) > sep_small and len(us) > threshold:
-            U1 = ElementSet(ctx, us)
-            ok, maxima = certify_cross_products(space, U1, U1, x0, tol)
-            return ReductionResult(
-                U1,
-                U1,
+            return _certify_and_report(
+                space,
+                x0,
+                ctx,
                 tol,
-                ok,
                 SPHERE_GRAPH,
-                reason="far_pair",
-                max_products=maxima,
-                counts={"qualifying": len(qualifying), "u1": len(us), "b": b},
+                "far_pair",
+                us,
+                us,
+                {"qualifying": len(far), "u1": len(us), "b": b},
                 cardinality_ok=Fraction(len(us)) >= threshold,
             )
 
@@ -405,23 +415,16 @@ def reduce_graph(space: ActionSpace, U: ElementSet, x0) -> ReductionResult:
                 continue
             y1, z1 = points[key1]
             if space.dist(z1, z0) > sep_big and space.dist(y1, y0) > sep_big:
-                U1 = ElementSet(ctx, us0)
-                U2 = ElementSet(ctx, us1)
-                ok, maxima = certify_cross_products(space, U1, U2, x0, tol)
-                return ReductionResult(
-                    U1,
-                    U2,
+                return _certify_and_report(
+                    space,
+                    x0,
+                    ctx,
                     tol,
-                    ok,
                     SPHERE_GRAPH,
-                    reason="diagonal_pairs",
-                    max_products=maxima,
-                    counts={
-                        "qualifying": len(qualifying),
-                        "u1": len(U1),
-                        "u2": len(U2),
-                        "b": b,
-                    },
+                    "diagonal_pairs",
+                    us0,
+                    us1,
+                    {"qualifying": len(far), "u1": len(us0), "u2": len(us1), "b": b},
                     cardinality_ok=True,
                 )
 
@@ -443,95 +446,30 @@ def reduce_via_tree_approx(space: ActionSpace, U: ElementSet, x0) -> ReductionRe
     bound when irrational; one edge at delta = 0, where the construction
     degenerates to the exact tree recursion); the pulled-back sets are
     certified in the original space at that tolerance."""
-    ctx = U.context
-    if len(U) <= 1:
-        return _failed(ctx, 0, "TooSmall")
-    d = log2_upper(2 * len(U))
-    if space.delta > 0:
-        radius = 1000 * d * space.delta
-    else:
-        radius = space.rho0
-    r_steps = max(1, -int(-radius / space.rho0 // 1))
-    radius_steps_len = r_steps * space.rho0
+    # a U of at most one element stops at TooSmall before the radius is used
+    d = log2_upper(2 * len(U)) if len(U) > 1 else 0
+    return _far_mover_route(space, U, x0, 1000 * d * space.delta, _tree_approx_peel)
 
-    elements = []
-    legs_points = []
-    for u in U:
-        ux = space.act(u, x0)
-        vx = space.act(u.inverse(), x0)
-        if space.dist(x0, ux) < 4 * radius_steps_len:
-            continue
-        if space.dist(x0, vx) < 4 * radius_steps_len:
-            continue
-        elements.append(u)
-        legs_points.append(ux)
-        legs_points.append(vx)
-    if 4 * len(elements) < 3 * len(U):
-        return _failed(
-            ctx,
-            radius_steps_len,
-            "ConcentratedOrBelow",
-            qualifying=len(elements),
-            total=len(U),
-        )
 
+def _tree_approx_peel(space, U: ElementSet, x0, tol, far) -> ReductionResult:
+    """The peel of `reduce_via_tree_approx`, over the image sphere points."""
     # deduplicate targets but remember each element's leg pair
     target_index: dict = {}
     targets = []
-    for p in legs_points:
-        key = space.point_key(p)
-        if key not in target_index:
-            target_index[key] = len(targets)
-            targets.append(p)
+    for _, ux, vx in far:
+        for p in (ux, vx):
+            key = space.point_key(p)
+            if key not in target_index:
+                target_index[key] = len(targets)
+                targets.append(p)
     approx = approximate_tree(space, x0, targets)
 
     def image_class(point) -> tuple:
-        """Tree sphere point at the working radius on this target's leg:
-        the equivalence class of (leg, radius) under div >= radius."""
-        leg = target_index[space.point_key(point)]
-        rep = min(
-            j
-            for j in range(len(targets))
-            if j == leg or approx.div[leg][j] >= radius_steps_len
-        )
-        return (rep,)
+        """Tree sphere point at the working radius on this target's leg."""
+        return (approx.canonical_leg(target_index[space.point_key(point)], tol),)
 
-    entry = {
-        u: (
-            image_class(space.act(u, x0)),
-            image_class(space.act(u.inverse(), x0)),
-        )
-        for u in elements
-    }
-
-    class _TreeView:
-        """Point interface over image classes for the shared peeling."""
-
-        @staticmethod
-        def point_key(c):
-            return c
-
-    u1_list, u2_list, trace, how = _peel(_TreeView, elements, entry, len(U))
-    if not u1_list or not u2_list:
-        return _failed(ctx, radius_steps_len, "PeelingExhausted", rounds=len(trace))
-
-    U1 = ElementSet(ctx, u1_list)
-    U2 = ElementSet(ctx, u2_list)
-    ok, maxima = certify_cross_products(space, U1, U2, x0, radius_steps_len)
-    cardinality_ok = 100 * len(U1) >= len(U) and 100 * len(U2) >= len(U)
-    return ReductionResult(
-        U1,
-        U2,
-        radius_steps_len,
-        ok,
-        VIA_TREE_APPROX,
-        reason=how,
-        max_products=maxima,
-        counts={"qualifying": len(elements), "u1": len(U1), "u2": len(U2)},
-        cardinality_ok=cardinality_ok,
-        peel_rounds=len(trace),
-        peel_trace=trace,
-    )
+    keyed = {u: (image_class(ux), image_class(vx)) for u, ux, vx in far}
+    return _peel_and_certify(space, x0, U.context, tol, VIA_TREE_APPROX, keyed, len(U))
 
 
 def median_split(

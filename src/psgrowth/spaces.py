@@ -30,7 +30,6 @@ from .words import (
     PresentationContext,
     cyclic_reduce,
     free_group,
-    parse,
 )
 
 
@@ -69,12 +68,12 @@ class ActionSpace:
     kappa0: Fraction
     N0: int
     context: Optional[PresentationContext]
-    # the tree backends: delta = 0, and the tree-only methods `point_at`
-    # and `orbit_labels` exist
+    # the tree backends: delta = 0, and the tree-only method `orbit_labels`
+    # exists
     is_tree = False
 
-    # subclasses implement: dist, act, geodesic, sphere, basepoint,
-    # check_point, point_key, encode_point, translation_length
+    # subclasses implement: dist, act, geodesic, point_at, sphere,
+    # basepoint, check_point, point_key, encode_point, translation_length
 
     def _set_scale(self, rho0, kappa0, N0) -> None:
         """Store the edge length rho0, the acylindricity distance kappa0
@@ -139,9 +138,6 @@ class FreeGroupTree(ActionSpace):
     def encode_point(self, x) -> str:
         return str(x)
 
-    def parse_point(self, text: str) -> GroupElement:
-        return parse(self.context, text)
-
     def dist(self, x, y) -> Fraction:
         return (x.inverse() * y).word_length() * self.rho0
 
@@ -188,7 +184,8 @@ class FreeGroupTree(ActionSpace):
         if length == 0:
             return AxisData(g, Fraction(0), False, (conj,), conj)
         end = self.act(g, conj)
-        assert self.dist(conj, end) == length
+        if self.dist(conj, end) != length:
+            raise RuntimeError("free group translation length mismatch")
         return AxisData(g, length, True, tuple(self.geodesic(conj, end)), conj)
 
     def sphere(self, x, r, scope: Optional[Sequence] = None, cap: int = 200_000) -> list:
@@ -283,10 +280,6 @@ class FreeProductTree(ActionSpace):
     def encode_point(self, x) -> str:
         return f"{x[0]}|{x[1]}"
 
-    def parse_point(self, text: str):
-        w, tag = text.rsplit("|", 1)
-        return self.vertex(parse(self.context, w), int(tag))
-
     def act(self, g: GroupElement, x):
         if g.context != self.context:
             raise ValueError("group element from a different context")
@@ -335,7 +328,8 @@ class FreeProductTree(ActionSpace):
             points.append(self.vertex(prefix, side))
         if side != y[1]:
             points.append(self.vertex(prefix, y[1]))
-        assert points[-1] == y, "geodesic endpoint mismatch"
+        if points[-1] != y:
+            raise RuntimeError("geodesic endpoint mismatch")
         return points
 
     def point_at(self, x, y, k: int):
@@ -381,12 +375,14 @@ class FreeProductTree(ActionSpace):
         m = core.syllable_count
         if m <= 1:
             fixed = self.vertex(conj, core.first_factor() if m else 0)
-            assert self.act(g, fixed) == fixed
+            if self.act(g, fixed) != fixed:
+                raise RuntimeError("elliptic element moves its fixed vertex")
             return AxisData(g, Fraction(0), False, (fixed,), fixed)
         anchor = self.vertex(conj, 1 - core.first_factor())
         end = self.act(g, anchor)
         length = self.dist(anchor, end)
-        assert length == m * self.rho0, "free product translation length mismatch"
+        if length != m * self.rho0:
+            raise RuntimeError("free product translation length mismatch")
         return AxisData(g, length, True, tuple(self.geodesic(anchor, end)), anchor)
 
     def sphere(self, x, r, scope: Optional[Sequence] = None) -> list:
@@ -535,9 +531,6 @@ class FiniteHypGraph(ActionSpace):
     def encode_point(self, x) -> str:
         return f"v{x}"
 
-    def parse_point(self, text: str) -> int:
-        return int(text.lstrip("v"))
-
     def dist(self, x, y) -> Fraction:
         self.check_point(x)
         self.check_point(y)
@@ -578,6 +571,18 @@ class FiniteHypGraph(ActionSpace):
             path.append(pred[path[-1]])
         path.reverse()
         return path
+
+    def point_at(self, x, y, k: int) -> int:
+        """`geodesic(x, y)[k]`: the walk back from y along the same
+        predecessors, without building the rest of the geodesic."""
+        self.check_point(x)
+        self.check_point(y)
+        length = int(self._hops[x, y])
+        _check_steps(k, length)
+        pred = self._predecessors(x)
+        for _ in range(length - k):
+            y = pred[y]
+        return y
 
     def translation_length(self, g: GroupElement) -> AxisData:
         """[g] as an exhaustive minimum over vertices; the segment is the

@@ -67,27 +67,26 @@ class ApproximationTree:
             return Fraction(0)
         return max(self.div[i][j] for j in range(i))
 
+    def canonical_leg(self, leg: int, depth: Fraction) -> int:
+        """The lowest-index leg through the point at `depth` on leg `leg`:
+        the legs that have not yet diverged from it there."""
+        return min(
+            j for j in range(len(self.legs)) if j == leg or self.div[leg][j] >= depth
+        )
+
     # -- explicit tree structure for export ---------------------------------
 
     def export(self) -> dict:
         """Vertices, parent pointers and edge lengths of the quotient tree,
         plus the image node of every sampled point."""
-        canon: dict[tuple[int, Fraction], int] = {}
         depths_per_leg: dict[int, set[Fraction]] = {}
-
-        def canonical_leg(leg: int, depth: Fraction) -> int:
-            best = leg
-            for j in range(len(self.legs)):
-                if j != leg and self.div[leg][j] >= depth:
-                    best = min(best, j)
-            return best
 
         node_keys: set[tuple[int, Fraction]] = set()
         for _, tp in self.samples:
-            node_keys.add((canonical_leg(tp.leg, tp.depth), tp.depth))
+            node_keys.add((self.canonical_leg(tp.leg, tp.depth), tp.depth))
         for i in range(1, len(self.legs)):
             d = self.glue_depth(i)
-            node_keys.add((canonical_leg(i, d), d))
+            node_keys.add((self.canonical_leg(i, d), d))
         node_keys.add((0, Fraction(0)))
 
         for leg, depth in node_keys:
@@ -105,13 +104,13 @@ class ApproximationTree:
             if leg != 0:
                 below.append(self.glue_depth(leg))
             prev = max(d for d in below if d <= depth) if below else Fraction(0)
-            pkey = (canonical_leg(leg, prev), prev)
+            pkey = (self.canonical_leg(leg, prev), prev)
             parent[ids[key]] = ids[pkey]
             edge_length[ids[key]] = depth - prev
 
         f_images = {
             self.space.encode_point(p): ids[
-                (canonical_leg(tp.leg, tp.depth), tp.depth)
+                (self.canonical_leg(tp.leg, tp.depth), tp.depth)
             ]
             for p, tp in self.samples
         }

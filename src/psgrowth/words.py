@@ -388,12 +388,6 @@ class ElementSet:
     def __repr__(self) -> str:
         return f"ElementSet({len(self)} elements in {self.context})"
 
-    def inverses(self) -> "ElementSet":
-        return ElementSet(self.context, (m.inverse() for m in self._members))
-
-    def union(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.context, self._members | other._members)
-
     def to_strings(self) -> list[str]:
         return [str(m) for m in self._ordered()]
 

@@ -1,6 +1,6 @@
 import pytest
 
-from psgrowth.spaces import FreeGroupTree, FreeProductTree
+from psgrowth.spaces import FiniteHypGraph, FreeGroupTree, FreeProductTree
 from psgrowth.words import parse
 
 
@@ -26,3 +26,10 @@ TREES = {"F2": FreeGroupTree(2), "Z5*Z7": FreeProductTree((5, 7))}
 def w(space_or_ctx, text):
     ctx = getattr(space_or_ctx, "context", space_or_ctx)
     return parse(ctx, text)
+
+
+def sun_graph(n):
+    """C_n with one pendant vertex per cycle vertex, rotated together."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    perm = [(i + 1) % n for i in range(n)] + [n + (i + 1) % n for i in range(n)]
+    return FiniteHypGraph(2 * n, edges, [perm])

@@ -234,6 +234,25 @@ def test_treeapprox_command(tmp_path):
     assert rep["treeapprox"]["tree"]["parent"].count(-1) == 1
 
 
+@pytest.mark.parametrize("budget, code", [(14640, 3), (14641, 0)])
+def test_graph_size_is_capped_by_the_budget(tmp_path, budget, code):
+    # the four-point delta of an n-vertex graph takes all n^4 quadruples at
+    # once, so the run's budget caps n^4 before the graph is built
+    n = 11
+    cfg = {
+        "command": "treeapprox",
+        "space": {
+            "backend": "graph",
+            "graph": {"vertices": n, "edges": [[i, (i + 1) % n] for i in range(n)]},
+        },
+    }
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert n**4 == 14641
+    assert main(["--config", str(p), "--out", str(out), "--budget", str(budget)]) == code
+    assert (out / "report.json").exists() == (code == 0)
+
+
 def test_installed_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, GROWTH_CFG)
     out = tmp_path / "out"

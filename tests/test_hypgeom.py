@@ -16,7 +16,7 @@ from psgrowth.hypgeom import (
 from psgrowth.spaces import FiniteHypGraph, cycle_graph, random_connected_graph
 from psgrowth.words import random_reduced_word
 
-from conftest import w
+from conftest import sun_graph, w
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +394,7 @@ def test_axis_distance_on_a_graph_is_the_distance_to_the_line():
     from psgrowth.periodicity import is_periodic
 
     n = 8
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
-    perm = [(i + 1) % n for i in range(n)] + [n + (i + 1) % n for i in range(n)]
-    sun = FiniteHypGraph(2 * n, edges, [perm])
+    sun = sun_graph(n)
     assert sun.delta == 2
     rot = sun.context.generator(0)
     ax = translation_length(sun, rot)

@@ -398,3 +398,121 @@ def test_certify_fast_path_matches_generic_oracle(
     )
     assert maxima["u1_inv_vs_u2"] == expect_1
     assert maxima["u2_inv_vs_u1"] == expect_2
+
+
+# ---------------------------------------------------------------------------
+# every exit of the three routes, pinned on one small input each
+
+F2 = TREES["F2"]
+ONE = F2.basepoint()
+C8 = cycle_graph(8)
+# 99 words of lengths 2..4 and one of length 8: at r = 2 only the long one
+# moves 1 at least 4r, and one element never carries more than |U| / 100
+SHORT = [str(v) for k in (2, 3, 4) for v in F2.sphere(ONE, k)][:99]
+DIAGONAL = [f"aaaaa{'b' * k}AAAAA" for k in range(1, 6)] + [
+    f"bbbbb{'a' * k}BBBBB" for k in range(1, 6)
+]
+
+
+def failed(reason, tolerance="1", **counts):
+    return {
+        "branch": "Failed", "certified": False, "reason": reason, "tolerance": tolerance,
+        "u1_size": 0, "u2_size": 0, "max_products": {}, "counts": counts,
+        "discarded_mass": 0, "cardinality_ok": None, "peel_rounds": 0, "peel_trace": [],
+    }
+
+
+def certified(branch, reason, u1_size, u2_size, counts, trace, tolerance="1"):
+    return {
+        "branch": branch, "certified": True, "reason": reason, "tolerance": tolerance,
+        "u1_size": u1_size, "u2_size": u2_size,
+        "max_products": {"u1_inv_vs_u2": "0", "u2_inv_vs_u1": "0"}, "counts": counts,
+        "discarded_mass": 0, "cardinality_ok": True, "peel_rounds": len(trace),
+        "peel_trace": trace,
+    }
+
+
+def peeled(key, ab, ba, bb):
+    return {"peeled": key, "U_AB": ab, "U_BA": ba, "U_BB": bb}
+
+
+# Several inputs move 1 exactly four edges, the least that passes the 4r
+# filters at one edge.
+EXITS = {
+    # at r = 2 the sphere points of "aaaaaaab" and "abbbbbbb" differ, though
+    # both geodesics leave 1 along a
+    "tree-cross_AB": (
+        lambda: reduce_tree(
+            F2, eset(F2, "aaaaaaab", "abbbbbbb", "baaaaaaa", "bbbbbbba"), ONE, 2
+        ),
+        certified("TreeRecursion", "cross_AB", 1, 1, {"qualifying": 4, "u1": 1, "u2": 1},
+                  [peeled("(2, 'AA')", 1, 0, 0)], tolerance="2"),
+        ["baaaaaaa"], ["baaaaaaa"],
+    ),
+    "tree-cross_BA": (
+        lambda: reduce_tree(F2, eset(F2, "Abbb"), ONE, 1),
+        certified("TreeRecursion", "cross_BA", 1, 1, {"qualifying": 1, "u1": 1, "u2": 1},
+                  [peeled("(1, 'A')", 0, 1, 0)]),
+        ["Abbb"], ["Abbb"],
+    ),
+    "tree-split_AA_BB": (
+        lambda: reduce_tree(F2, eset(F2, "Abbba", "aBBBA", "bAAAB"), ONE, 1),
+        certified("TreeRecursion", "split_AA_BB", 2, 1, {"qualifying": 3, "u1": 2, "u2": 1},
+                  [peeled("(1, 'A')", 0, 0, 1)]),
+        ["aBBBA", "bAAAB"], ["Abbba"],
+    ),
+    "tree-ConcentratedOrBelow": (
+        lambda: reduce_tree(F2, eset(F2, "ab", "ba", "aab"), ONE, 1),
+        failed("ConcentratedOrBelow", above_floor=0, total=3), [], [],
+    ),
+    "tree-NothingAboveFourR": (
+        lambda: reduce_tree(F2, eset(F2, "ab", "ba"), ONE, 1, hypothesis_displacement=1),
+        failed("NothingAboveFourR", total=2), [], [],
+    ),
+    "tree-MinimalEnergyViolated": (
+        lambda: reduce_tree(F2, eset(F2, "abbA", "abbbA"), ONE, 1),
+        failed("MinimalEnergyViolated", mass=2, total=2, witness_point="(1, 'a')"), [], [],
+    ),
+    "tree-PeelingExhausted": (
+        lambda: reduce_tree(F2, eset(F2, *SHORT, "aaaaaaaa"), ONE, 2, hypothesis_displacement=1),
+        failed("PeelingExhausted", tolerance="2", rounds=2), [], [],
+    ),
+    "tree-TooSmall": (
+        lambda: reduce_tree(F2, eset(F2), ONE, 1), failed("TooSmall"), [], [],
+    ),
+    "pairs-far_pair": (
+        lambda: reduce_graph(F2, eset(F2, "aaab", "bbba"), ONE),
+        certified("SphereGraph", "far_pair", 1, 1, {"b": 5, "qualifying": 2, "u1": 1}, []),
+        ["aaab"], ["aaab"],
+    ),
+    "pairs-diagonal_pairs": (
+        lambda: reduce_graph(F2, eset(F2, *DIAGONAL), ONE),
+        certified("SphereGraph", "diagonal_pairs", 5, 5,
+                  {"b": 5, "qualifying": 10, "u1": 5, "u2": 5}, []),
+        DIAGONAL[:5], DIAGONAL[5:],
+    ),
+    "pairs-BasePointNotMinimal": (
+        lambda: reduce_graph(F2, eset(F2, "abbbA", "abbbbA", "aBBBA"), ONE),
+        failed("BasePointNotMinimal", near_diagonal_mass=3, total=3), [], [],
+    ),
+    "approx-certified": (
+        lambda: reduce_via_tree_approx(F2, eset(F2, "aaab", "bbba", "abbb", "baaa"), ONE),
+        certified("ViaTreeApprox", "cross_BA", 2, 2, {"qualifying": 4, "u1": 2, "u2": 2},
+                  [peeled("(0,)", 0, 2, 0)]),
+        ["aaab", "abbb"], ["aaab", "abbb"],
+    ),
+    # on C_8 (delta = 2) the working radius 1000 log2(6) delta rounds up to
+    # 5171 edges, far beyond any displacement
+    "approx-ConcentratedOrBelow": (
+        lambda: reduce_via_tree_approx(C8, eset(C8, "a", "aa", "aaa"), 0),
+        failed("ConcentratedOrBelow", tolerance="5171", qualifying=0, total=3), [], [],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXITS))
+def test_every_reduction_exit(case):
+    run, expected, u1, u2 = EXITS[case]
+    res = run()
+    assert res.as_dict() == expected
+    assert (res.u1.to_strings(), res.u2.to_strings()) == (u1, u2)

@@ -20,7 +20,7 @@ from psgrowth.spaces import (
 )
 from psgrowth.words import random_reduced_word
 
-from conftest import TREES, w
+from conftest import TREES, sun_graph, w
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def test_product_tree_rejects_more_factors():
 
 
 # ---------------------------------------------------------------------------
-# point_at and orbit_labels on both trees
+# point_at on every backend, orbit_labels on both trees
 
 WORD = st.text(alphabet="abAB", max_size=9)
 
@@ -209,9 +209,17 @@ def tree_vertex(tree, text, tag):
     return g if isinstance(tree, FreeGroupTree) else tree.vertex(g, tag)
 
 
+# a cycle, a path, and the sun graph with its pendants off the cycle
+POINT_AT_GRAPHS = {
+    "C7": cycle_graph(7),
+    "path": FiniteHypGraph(6, [(i, i + 1) for i in range(5)]),
+    "sun": sun_graph(8),
+}
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(
-    tree=st.sampled_from(sorted(TREES)),
+    tree=st.sampled_from(sorted(TREES) + sorted(POINT_AT_GRAPHS)),
     x_text=WORD,
     x_tag=st.integers(0, 1),
     y_text=WORD,
@@ -220,16 +228,24 @@ def tree_vertex(tree, text, tag):
 @example(tree="Z5*Z7", x_text="a", x_tag=1, y_text="", y_tag=0)  # ends on a tag change
 @example(tree="Z5*Z7", x_text="ab", x_tag=0, y_text="abbab", y_tag=0)  # starts on one
 @example(tree="F2", x_text="aB", x_tag=0, y_text="aBBa", y_tag=0)
+@example(tree="C7", x_text="", x_tag=0, y_text="", y_tag=0)
+@example(tree="path", x_text="", x_tag=0, y_text="", y_tag=0)
+@example(tree="sun", x_text="", x_tag=0, y_text="", y_tag=0)
 def test_point_at_matches_geodesic(tree, x_text, x_tag, y_text, y_tag):
-    space = TREES[tree]
-    x = tree_vertex(space, x_text, x_tag)
-    y = tree_vertex(space, y_text, y_tag)
-    path = space.geodesic(x, y)
-    for k, vertex in enumerate(path):
-        assert space.point_at(x, y, k) == vertex
-    for k in (-1, len(path)):
-        with pytest.raises(ValueError):
-            space.point_at(x, y, k)
+    # on a tree, the drawn pair; on a graph, every pair of vertices
+    if tree in TREES:
+        space = TREES[tree]
+        pairs = [(tree_vertex(space, x_text, x_tag), tree_vertex(space, y_text, y_tag))]
+    else:
+        space = POINT_AT_GRAPHS[tree]
+        pairs = itertools.product(range(space.n), repeat=2)
+    for x, y in pairs:
+        path = space.geodesic(x, y)
+        for k, vertex in enumerate(path):
+            assert space.point_at(x, y, k) == vertex
+        for k in (-1, len(path)):
+            with pytest.raises(ValueError):
+                space.point_at(x, y, k)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -399,6 +415,27 @@ def test_no_backend_type_checks_outside_spaces():
         for path in sorted(package.glob("*.py"))
         if path.name != "spaces.py"
         and (lines := backend_type_checks(path.read_text()))
+    }
+    assert found == {}
+
+
+def asserts(source: str) -> list:
+    """Line numbers of the `assert` statements, which `python -O` strips."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert))
+
+
+def test_asserts_finder():
+    src = "assert x\nif not x:\n    raise RuntimeError\nassert y, 'why'\n"
+    assert asserts(src) == [1, 4]
+
+
+def test_no_asserts_in_the_library():
+    # every library check raises, so `python -O` keeps it
+    package = Path(psgrowth.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := asserts(path.read_text()))
     }
     assert found == {}
 
