@@ -21,6 +21,7 @@ from typing import Callable
 from .energy import Mode, energy_at, minimize_energy
 from .growth import (
     diffuse_pipeline,
+    entropy_bound_holds,
     exponent_fit,
     growth_report,
     theorem_alpha,
@@ -33,6 +34,7 @@ from .treeapprox import approximate_tree, distortion_report
 from .words import (
     ElementSet,
     GroupElement,
+    cyclic_reduce,
     parse,
     product_set,
     random_reduced_word,
@@ -61,10 +63,26 @@ class CriterionResult:
         }
 
 
-def _timed(fn: Callable[[], tuple[bool, dict]], number: int, name: str) -> CriterionResult:
+def _timed(
+    fn: Callable[[], tuple[bool, dict]], number: int, name: str, target_s=None
+) -> CriterionResult:
+    """Run one criterion; with a runtime target it also fails when slower."""
     start = time.monotonic()
     passed, details = fn()
-    return CriterionResult(number, name, passed, details, time.monotonic() - start)
+    elapsed = time.monotonic() - start
+    if target_s is not None:
+        passed = passed and elapsed < target_s
+        details["runtime_target_s"] = target_s
+    return CriterionResult(number, name, passed, details, elapsed)
+
+
+def _random_word_set(rng: random.Random, ctx, size: int, lo: int, hi: int) -> ElementSet:
+    """`size` distinct random reduced words, each of a length drawn from
+    lo..hi just before the word itself."""
+    members = set()
+    while len(members) < size:
+        members.add(random_reduced_word(rng, ctx, rng.randint(lo, hi)))
+    return ElementSet(ctx, members)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +164,7 @@ def criterion_1(budget: int = 10_000_000) -> CriterionResult:
             }
         return ok, {"per_n": rows}
 
-    res = _timed(run, 1, "optimality family exponent")
-    res.passed = res.passed and res.elapsed < 60
-    res.details["runtime_target_s"] = 60
-    return res
+    return _timed(run, 1, "optimality family exponent", target_s=60)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +176,7 @@ def default_tree_suite() -> list[tuple]:
     f2 = FreeGroupTree(2)
     z57 = FreeProductTree((5, 7))
     rng = random.Random(225)
-    random_sets = []
-    for size in (6, 12):
-        members = set()
-        while len(members) < size:
-            members.add(random_reduced_word(rng, f2.context, rng.randint(1, 6)))
-        random_sets.append(ElementSet(f2.context, members))
+    random_sets = [_random_word_set(rng, f2.context, size, 1, 6) for size in (6, 12)]
     a = f2.context.generator(0)
     suite = [
         (f2, ElementSet.from_strings(f2.context, ["a", "b"]), 4),
@@ -184,13 +194,11 @@ def default_tree_suite() -> list[tuple]:
 
 def criterion_2() -> CriterionResult:
     def run():
-        from .growth import entropy_bound_holds
-
         rows = []
         ok = True
         for space, U, n_max in default_tree_suite():
             rep = growth_report(space, U, n_max, Mode.paper())
-            alpha = theorem_alpha(space, U, Mode.paper())
+            alpha = theorem_alpha(space, U)
             entropy_ok = rep.not_applicable is not None or entropy_bound_holds(
                 rep.sizes, rep.alpha_used, len(U)
             )
@@ -279,10 +287,7 @@ def criterion_3() -> CriterionResult:
             ok = ok and cert.certified and exact
         return ok, {"instances": rows, "count": len(rows)}
 
-    res = _timed(run, 3, "ping-pong exactness |(Vt)^n| = |V|^n")
-    res.passed = res.passed and res.elapsed < 30
-    res.details["runtime_target_s"] = 30
-    return res
+    return _timed(run, 3, "ping-pong exactness |(Vt)^n| = |V|^n", target_s=30)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +303,6 @@ def criterion_4(count: int = 200, seed: int = 4040) -> CriterionResult:
         built = 0
         while built < count:
             root = random_reduced_word(rng, ctx, rng.randint(2, 4))
-            from .words import cyclic_reduce
-
             core, _ = cyclic_reduce(root)
             if core.word_length() != root.word_length():
                 continue  # need a cyclically reduced root so 1 is on its axis
@@ -374,10 +377,9 @@ def criterion_5(count: int = 100, seed: int = 5050) -> CriterionResult:
             "worst_shrink_over_bound": round(worst, 4),
         }
 
-    res = _timed(run, 5, "tree approximation distortion within 2*delta*(log2 n + 1)")
-    res.passed = res.passed and res.elapsed < 120
-    res.details["runtime_target_s"] = 120
-    return res
+    return _timed(
+        run, 5, "tree approximation distortion within 2*delta*(log2 n + 1)", target_s=120
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +395,7 @@ def criterion_6(count: int = 50, seed: int = 6060) -> CriterionResult:
         rows = []
         for i in range(count):
             size = rng.randint(200, 2000)
-            members = set()
-            while len(members) < size:
-                members.add(random_reduced_word(rng, ctx, rng.randint(4, 12)))
-            U = ElementSet(ctx, members)
+            U = _random_word_set(rng, ctx, size, 4, 12)
             x0 = minimize_energy(tree, U).base_point
             res = reduce_tree(tree, U, x0, 1)
             entry = {
@@ -485,11 +484,7 @@ def criterion_8(count: int = 50, seed: int = 8080) -> CriterionResult:
         ctx = tree.context
         rng = random.Random(seed)
         for _ in range(count):
-            members = set()
-            size = rng.randint(3, 10)
-            while len(members) < size:
-                members.add(random_reduced_word(rng, ctx, rng.randint(1, 7)))
-            U = ElementSet(ctx, members)
+            U = _random_word_set(rng, ctx, rng.randint(3, 10), 1, 7)
             prof = minimize_energy(tree, U)
             base = tree.basepoint()
             hull = tree.hull_points(
@@ -533,11 +528,7 @@ def _standard_report(seed: int) -> bytes:
     """A fixed pipeline whose serialized output must be reproducible."""
     tree = FreeGroupTree(2)
     ctx = tree.context
-    rng = random.Random(seed)
-    members = set()
-    while len(members) < 40:
-        members.add(random_reduced_word(rng, ctx, rng.randint(4, 9)))
-    U = ElementSet(ctx, members)
+    U = _random_word_set(random.Random(seed), ctx, 40, 4, 9)
     rep = growth_report(tree, U, 3, Mode.practical(1, 1))
     x0 = minimize_energy(tree, U).base_point
     red = reduce_tree(tree, U, x0, 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -195,14 +196,24 @@ def build_set(cfg: dict, space, seed: int) -> ElementSet:
             raise ConfigError("safin set needs 'n_big'")
         return safin_family(ctx, section["n_big"])
     # random: uniform over reduced words of length <= max_length
-    import random as _random
-
     count = section.get("count", 50)
     max_len = section.get("max_length", 6)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     if ctx.kind != "free":
         raise ConfigError("random sets are defined for free-group backends")
     k = ctx.rank
+    # rng.choices adds the weights up as a float, so the number of words in
+    # the ball must fit in one
+    total = 0
+    for l in range(1, max_len + 1):
+        total += (2 * k) * (2 * k - 1) ** (l - 1)
+        try:
+            float(total)
+        except OverflowError:
+            raise ConfigError(
+                f"rank {k} has more reduced words of length <= {max_len} than "
+                "a float can count; lower 'max_length'"
+            ) from None
     weights = [(2 * k) * (2 * k - 1) ** (l - 1) for l in range(1, max_len + 1)]
     members = set()
     attempts = 0

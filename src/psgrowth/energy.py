@@ -38,31 +38,24 @@ class Mode:
     name: str
     concentration_threshold: Optional[Fraction] = None
     displacement_floor: Optional[Fraction] = None
-    d_choice: str = "auto"  # auto | tree | hyperbolic_group | acylindrical
 
     @classmethod
-    def paper(cls, d_choice: str = "auto") -> "Mode":
-        return cls("paper", d_choice=d_choice)
+    def paper(cls) -> "Mode":
+        return cls("paper")
 
     @classmethod
-    def practical(
-        cls, concentration_threshold, displacement_floor=0, d_choice: str = "auto"
-    ) -> "Mode":
+    def practical(cls, concentration_threshold, displacement_floor=0) -> "Mode":
         return cls(
             "practical",
             Fraction(concentration_threshold),
             Fraction(displacement_floor),
-            d_choice,
         )
 
 
-def d_factor(space: ActionSpace, U: ElementSet, mode: Mode) -> Fraction:
-    """1 for tree and hyperbolic-group regimes, log2(2|U|) for general
-    acylindrical actions (certified dyadic upper bound when irrational)."""
-    choice = mode.d_choice
-    if choice == "auto":
-        choice = "acylindrical" if space.delta > 0 else "tree"
-    if choice in ("tree", "hyperbolic_group"):
+def d_factor(space: ActionSpace, U: ElementSet) -> Fraction:
+    """1 on trees (delta = 0), log2(2|U|) for acylindrical actions on graphs
+    with delta > 0 (certified dyadic upper bound when irrational)."""
+    if space.delta == 0:
         return Fraction(1)
     return log2_upper(2 * len(U))
 
@@ -153,7 +146,7 @@ def minimize_energy(
         base_point=x,
         energy=energy,
         displacement=displacement,
-        d_factor=d_factor(space, U, mode),
+        d_factor=d_factor(space, U),
         mode_name=mode.name,
         descent_steps=steps,
     )

@@ -8,6 +8,7 @@ never substitutes theory for measurement.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,10 +55,9 @@ class AlphaConstants:
     c_concentrated: Fraction
     gamma: Fraction
     c_counting: Fraction
-    ball: Optional[int] = None
 
     @classmethod
-    def for_space(cls, space: ActionSpace, ball: Optional[int] = None) -> "AlphaConstants":
+    def for_space(cls, space: ActionSpace) -> "AlphaConstants":
         k, r, d, n0 = space.kappa0, space.rho0, space.delta, space.N0
         return cls(
             alpha_tree=r * r / (Fraction(10) ** 15 * k * k),
@@ -65,7 +65,6 @@ class AlphaConstants:
             c_concentrated=r / (Fraction(10) ** 6 * k),
             gamma=Fraction(10) ** 14 * n0**3 * k / r,
             c_counting=Fraction(10) ** 12 * n0**4 * k * k / (r * r),
-            ball=ball,
         )
 
 
@@ -125,7 +124,7 @@ class GrowthReport:
         }
 
 
-def theorem_alpha(space: ActionSpace, U: ElementSet, mode: Mode) -> Fraction:
+def theorem_alpha(space: ActionSpace, U: ElementSet) -> Fraction:
     """The per-element coefficient in (alpha |U|)^{floor((n+1)/2)}.
 
     Tree backends use alpha_tree; graph backends with delta > 0 use the
@@ -150,7 +149,7 @@ def growth_report(
     comparisons that the theorems do not claim."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    alpha = theorem_alpha(space, U, mode)
+    alpha = theorem_alpha(space, U)
     reason = virtually_cyclic_reason(space, U)
 
     sizes = {}
@@ -290,6 +289,8 @@ def concentrated_pipeline(
                 space.steps(disp[v]))
     m = space.point_at(x0, vx0, steps)
 
+    # U1 is nonempty past the gate above and its first element is always
+    # kept, so U2 is never empty
     u2 = []
     taken_points = []
     for u in sorted(u1, key=lambda el: el.sort_key()):
@@ -297,21 +298,16 @@ def concentrated_pipeline(
         if all(space.dist(um, q) > spacing for q in taken_points):
             u2.append(u)
             taken_points.append(um)
-    if not u2:
-        return ConcentratedOutcome(False, len(u1), 0, v, {}, "SpacingLeftNothing")
 
-    # chain data: products (u v x0, u' v x0)_{x0} and step lengths
-    pts = {u: space.act(u, vx0) for u in u2}
-    max_prod = Fraction(0)
-    for i, ua in enumerate(u2):
-        for ub in u2[i + 1:]:
-            max_prod = max(max_prod, space.gromov_product(pts[ua], pts[ub], x0))
-        max_prod = max(
-            max_prod,
-            space.gromov_product(space.act(v.inverse(), x0), pts[ua], x0),
-        )
-    min_step = min(space.dist(x0, pts[u]) for u in u2)
-    min_step = min(min_step, space.dist(x0, vx0))
+    # chain data: products (u v x0, u' v x0)_{x0} and (v^-1 x0, u v x0)_{x0},
+    # and the step lengths
+    pts = [space.act(u, vx0) for u in u2]
+    v_inv_x0 = space.act(v.inverse(), x0)
+    max_prod = max(
+        [space.gromov_product(p, q, x0) for p, q in itertools.combinations(pts, 2)]
+        + [space.gromov_product(v_inv_x0, p, x0) for p in pts]
+    )
+    min_step = min(space.dist(x0, p) for p in [vx0] + pts)
     alpha = min_step / 2 - max_prod - space.delta
     ok = alpha > 9 * space.delta if space.delta > 0 else alpha > 0
 
@@ -365,7 +361,7 @@ class DiffuseOutcome:
         }
 
 
-def _collision_equations(space, U1, v, W, x0, budget):
+def _collision_equations(U1, v, W, budget):
     """Group the products u*v*w by value; the largest class gives the
     equations u_i v w_i = const."""
     groups: dict = {}
@@ -401,15 +397,18 @@ def diffuse_pipeline(
     ctx = U.context
     if counting_c <= Fraction(1, 2):
         raise ValueError("counting_c must exceed 1/2 (the bound is vacuous below)")
+    known: dict = {}  # reduction, counting and witness, as each stage passes
+
+    def refuse(branch: str, reason: str) -> DiffuseOutcome:
+        return DiffuseOutcome(branch, False, {}, reason=reason, **known)
+
     reason = virtually_cyclic_reason(space, U)
     if reason is not None:
-        return DiffuseOutcome("NotApplicable", False, {}, reason=reason)
+        return refuse("NotApplicable", reason)
 
     prof = classify(space, U, minimize_energy(space, U, mode), mode)
     if prof.case is not Case.DIFFUSE:
-        return DiffuseOutcome(
-            "Failed", False, {}, reason=f"classified {prof.case.value}"
-        )
+        return refuse("Failed", f"classified {prof.case.value}")
     x0 = prof.base_point
     if mode.name == "paper":
         hypothesis_floor = Fraction(10) ** 10 * prof.d_factor * space.kappa0
@@ -417,15 +416,12 @@ def diffuse_pipeline(
         hypothesis_floor = mode.concentration_threshold
 
     red = reduce_at(space, U, x0, r, hypothesis_displacement=hypothesis_floor)
+    known["reduction"] = red.as_dict()
     if red.failed:
-        return DiffuseOutcome(
-            "Failed", False, {}, reduction=red.as_dict(), reason=red.reason
-        )
+        return refuse("Failed", red.reason)
+    # a reduction that did not fail has U1 and U2 nonempty, and the median
+    # split keeps the median element of each
     U1, U2 = median_split(space, red.u1, red.u2, x0)
-    if len(U1) == 0 or len(U2) == 0:
-        return DiffuseOutcome(
-            "Failed", False, {}, reduction=red.as_dict(), reason="median_emptied"
-        )
 
     l = (n + 1) // 2
     W = U1
@@ -433,14 +429,12 @@ def diffuse_pipeline(
         W = ElementSet(ctx, product_level(product_level(W, U2, budget), U1, budget))
 
     consts = AlphaConstants.for_space(space)
-    paper_bound = f"(|U| / (8 * {consts.c_counting} * 2b^2))^{l}"
-
-    counting = {}
+    counting = known["counting"] = {}
     period_certs = {}
     threshold = None if mode.name == "paper" else _practical_period_threshold(space, U2, x0)
     need = Fraction(len(U1) * len(W), 1) / (2 * counting_c)
     for v in U2:
-        distinct, eqs_pairs = _collision_equations(space, U1, v, W, x0, budget)
+        distinct, eqs_pairs = _collision_equations(U1, v, W, budget)
         counting[str(v)] = distinct
         if Fraction(distinct) > need:
             continue
@@ -454,35 +448,22 @@ def diffuse_pipeline(
         period_certs[v] = res
 
     non_periodic = [v for v in U2 if v not in period_certs]
-    failed_extractions = {
-        v: res for v, res in period_certs.items() if isinstance(res, Refusal)
-    }
-    if non_periodic or failed_extractions:
-        sizes = {"U1_v_W_max": max(counting.values()), "U1": len(U1), "W": len(W)}
+    refused = [res.reason for res in period_certs.values() if isinstance(res, Refusal)]
+    if non_periodic or refused:
         return DiffuseOutcome(
             "NonPeriodic",
-            not failed_extractions,
-            sizes,
-            counting=counting,
-            reduction=red.as_dict(),
-            paper_bound_display=paper_bound,
-            reason="counting_bound_met"
-            if not failed_extractions
-            else "extraction_refused:"
-            + ",".join(res.reason for res in failed_extractions.values()),
+            not refused,
+            {"U1_v_W_max": max(counting.values()), "U1": len(U1), "W": len(W)},
+            paper_bound_display=f"(|U| / (8 * {consts.c_counting} * 2b^2))^{l}",
+            reason="extraction_refused:" + ",".join(refused) if refused else "counting_bound_met",
+            **known,
         )
 
     # every middle element extracted a period: check bi-periodicity of U2
     witness = is_biperiodic(space, U2, x0, threshold)
     if isinstance(witness, Refusal):
-        return DiffuseOutcome(
-            "Failed",
-            False,
-            {},
-            counting=counting,
-            reduction=red.as_dict(),
-            reason=f"biperiodic_refused:{witness.reason}",
-        )
+        return refuse("Failed", f"biperiodic_refused:{witness.reason}")
+    known["witness"] = witness
 
     # coset handoff: with U2 inside E t, grow (V t')^n by ping pong.  When
     # the representative sits inside E itself, pick any s in U outside
@@ -499,44 +480,15 @@ def diffuse_pipeline(
     else:
         outside = [s for s in U if power_of(s, root) is None]
         if not outside:
-            return DiffuseOutcome(
-                "Failed",
-                False,
-                {},
-                counting=counting,
-                witness=witness,
-                reduction=red.as_dict(),
-                reason="no_element_outside_E",
-            )
+            return refuse("Failed", "no_element_outside_E")
         tail = outside[0]
         V_E = ElementSet(ctx, [v for v in U2 if not v.is_identity])
         handoff["tail_from_U"] = str(tail)
-    t_res = e_reduce(space, tail, root, x0)
-    if isinstance(t_res, Refusal):
-        return DiffuseOutcome(
-            "BiPeriodic",
-            False,
-            {},
-            counting=counting,
-            witness=witness,
-            reduction=red.as_dict(),
-            pingpong=handoff,
-            reason=f"e_reduce:{t_res.reason}",
-        )
-    _, t_prime, _ = t_res
+    # neither refuses: the tail lies outside <root>, and V_E is nonempty
+    # (|U2| >= 2) with every element a nonzero power of the root
+    _, t_prime, _ = e_reduce(space, tail, root, x0)
     r_sep = 1
     sep = separate(space, V_E, r_sep, x0, root)
-    if isinstance(sep, Refusal):
-        return DiffuseOutcome(
-            "BiPeriodic",
-            False,
-            {},
-            counting=counting,
-            witness=witness,
-            reduction=red.as_dict(),
-            pingpong=handoff,
-            reason=f"separation:{sep.reason}",
-        )
     e_len = translation_length(space, root).translation_length
     pp = pingpong_certify(
         space, sep, root, t_prime, min(n, 3), x0,
@@ -549,12 +501,10 @@ def diffuse_pipeline(
         "BiPeriodic",
         pp.certified,
         {str(k): c for k, c in pp.counts.items()},
-        counting=counting,
-        witness=witness,
-        reduction=red.as_dict(),
         pingpong=handoff,
         paper_bound_display=f"(|U2|/(4 gamma) |U|)^{l} with gamma = {consts.gamma}",
         reason="" if pp.certified else pp.reason,
+        **known,
     )
 
 

@@ -13,7 +13,7 @@ Certificates and refusals carry every checked inequality as
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -357,10 +357,10 @@ def is_e_reduced(space: ActionSpace, t: GroupElement, e_root: GroupElement, x0) 
 @dataclass(frozen=True)
 class PingPongCertificate:
     certified: bool
-    alpha: Fraction
-    max_chain_product: Fraction
-    min_step: Fraction
-    counts: dict
+    alpha: Fraction = Fraction(0)
+    max_chain_product: Fraction = Fraction(0)
+    min_step: Fraction = Fraction(0)
+    counts: dict = field(default_factory=dict)
     checks: tuple = ()
     reason: str = ""
 
@@ -400,101 +400,64 @@ def pingpong_certify(
 
     if len(members) == 1:
         # a single element's k-fold products are one element for every k
-        counts = {k: 1 for k in range(1, min(n, 4) + 1)}
         return PingPongCertificate(
-            True, Fraction(0), Fraction(0), Fraction(0), counts, (), "singleton"
+            True, counts={k: 1 for k in range(1, min(n, 4) + 1)}, reason="singleton"
         )
 
     d_x0 = axis_distance(space, axis, x0)
     checks.append(Check("x0_on_axis", d_x0, Fraction(0), d_x0 == 0))
     if not checks[-1].ok:
-        return PingPongCertificate(
-            False, Fraction(0), Fraction(0), Fraction(0), {}, tuple(checks), "x0_off_axis"
-        )
+        return PingPongCertificate(False, checks=tuple(checks), reason="x0_off_axis")
 
     for v in members:
         if power_of(v, root) is None:
             return PingPongCertificate(
-                False,
-                Fraction(0),
-                Fraction(0),
-                Fraction(0),
-                {},
-                tuple(checks),
-                f"element {v} outside <root>",
+                False, checks=tuple(checks), reason=f"element {v} outside <root>"
             )
 
     reduced = is_e_reduced(space, t, root, x0)
     checks.append(Check("t_e_reduced", Fraction(int(reduced)), Fraction(1), reduced))
     if not reduced:
-        return PingPongCertificate(
-            False, Fraction(0), Fraction(0), Fraction(0), {}, tuple(checks), "t_not_e_reduced"
-        )
+        return PingPongCertificate(False, checks=tuple(checks), reason="t_not_e_reduced")
 
     if a_value is None:
         c = Constants.for_space(space)
         a = 3 * c.nu * axis.translation_length + c.A * space.delta + 10**5 * space.delta
     else:
         a = Fraction(a_value)
-    pts = {v: space.act(v, x0) for v in members}
-    for v in members:
-        disp = space.dist(x0, pts[v])
+    pts = [space.act(v, x0) for v in members]
+    for p in pts:
+        disp = space.dist(x0, p)
         checks.append(Check("spacing_from_base", disp, 10 * a, disp >= 10 * a))
-    for va, vb in itertools.combinations(members, 2):
-        gap = space.dist(pts[va], pts[vb])
+    for p, q in itertools.combinations(pts, 2):
+        gap = space.dist(p, q)
         checks.append(Check("pairwise_spacing", gap, 10 * a, gap >= 10 * a))
     if not all(c_.ok for c_ in checks):
-        return PingPongCertificate(
-            False, Fraction(0), Fraction(0), Fraction(0), {}, tuple(checks), "spacing"
-        )
+        return PingPongCertificate(False, checks=tuple(checks), reason="spacing")
 
-    # chain step alphabet from the proof's point sequence
-    diffs = [
-        va * vb.inverse() for va, vb in itertools.permutations(members, 2)
-    ]
-    gamma_v = members
-    gamma_all = members + diffs
+    # chain step alphabet from the proof's point sequence, each point acted
+    # on once: L_A = V^-1, L_B = Gamma_all^-1 t^-1, L_C = Gamma_inv^-1 t on
+    # the left of a product, R_A = t Gamma_all, R_B = t^-1 Gamma_inv on the right
+    gamma_all = members + [va * vb.inverse() for va, vb in itertools.permutations(members, 2)]
     gamma_inv = [v.inverse() for v in members]
     t_inv = t.inverse()
+    left_a = [space.act(v.inverse(), x0) for v in members]
+    left_b = [space.act(g.inverse() * t_inv, x0) for g in gamma_all]
+    left_c = [space.act(g.inverse() * t, x0) for g in gamma_inv]
+    right_a = [space.act(t * g, x0) for g in gamma_all]
+    right_b = [space.act(t_inv * g, x0) for g in gamma_inv]
+    # (v, t g'), (t g, t g'): L_A u L_B against R_A; (t g, t^-1 g') at the
+    # turn, (t^-1 g, t^-1 g'): L_B u L_C against R_B
+    max_product = max(
+        space.gromov_product(p, q, x0)
+        for lefts, rights in ((left_a + left_b, right_a), (left_b + left_c, right_b))
+        for p in lefts
+        for q in rights
+    )
+    min_step = min(space.dist(x0, p) for p in pts + right_a + right_b)
 
-    def prod(left_el, right_el):
-        return space.gromov_product(
-            space.act(left_el, x0), space.act(right_el, x0), x0
-        )
-
-    max_product = Fraction(0)
-    # (first step v, then t g')
-    for v in gamma_v:
-        for g2 in gamma_all:
-            max_product = max(max_product, prod(v.inverse(), t * g2))
-    # (t g, t g')
-    for g1 in gamma_all:
-        left = g1.inverse() * t_inv
-        for g2 in gamma_all:
-            max_product = max(max_product, prod(left, t * g2))
-    # (t g_mid, t^-1 g') at the turn
-    for g1 in gamma_all:
-        left = g1.inverse() * t_inv
-        for g2 in gamma_inv:
-            max_product = max(max_product, prod(left, t_inv * g2))
-    # (t^-1 g, t^-1 g')
-    for g1 in gamma_inv:
-        left = g1.inverse() * t
-        for g2 in gamma_inv:
-            max_product = max(max_product, prod(left, t_inv * g2))
-
-    steps = [space.dist(x0, pts[v]) for v in gamma_v]
-    steps += [space.dist(x0, space.act(t * g, x0)) for g in gamma_all]
-    steps += [space.dist(x0, space.act(t_inv * g, x0)) for g in gamma_inv]
-    min_step = min(steps)
-
-    if space.delta > 0:
-        alpha = min_step / 2 - max_product - space.delta
-        needed = 9 * space.delta
-        certified = alpha >= needed
-    else:
-        alpha = min_step / 2 - max_product
-        certified = alpha > 0
+    alpha = min_step / 2 - max_product - space.delta
+    certified = alpha >= 9 * space.delta if space.delta > 0 else alpha > 0
     checks.append(
         Check("chain_margin", max_product, min_step / 2, certified)
     )

@@ -16,6 +16,7 @@ exhaustively over all sampled pairs against 2*delta*(log2 n + 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -223,8 +224,6 @@ def distortion_report(approx: ApproximationTree) -> DistortionReport:
         for p, tp in samples
     )
     within = approx.distortion_bound_holds(max_shrink)
-    import math
-
     n = max(approx.n_leaves, 1)
     bound_display = float(2 * approx.space.delta) * (math.log2(n) + 1)
     return DistortionReport(

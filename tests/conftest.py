@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from psgrowth.spaces import FiniteHypGraph, FreeGroupTree, FreeProductTree
@@ -26,6 +29,11 @@ TREES = {"F2": FreeGroupTree(2), "Z5*Z7": FreeProductTree((5, 7))}
 def w(space_or_ctx, text):
     ctx = getattr(space_or_ctx, "context", space_or_ctx)
     return parse(ctx, text)
+
+
+def digest(report: dict) -> str:
+    """A short sha256 of a report's canonical JSON, to pin it in full."""
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def sun_graph(n):

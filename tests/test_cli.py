@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -177,6 +178,12 @@ PATH_GRAPH = {
             },
         ),
         dict(PINGPONG_CFG, pingpong=dict(PINGPONG_CFG["pingpong"], powers=[])),
+        # 26 generators and words up to 200 letters: more words than a float holds
+        dict(
+            GROWTH_CFG,
+            space={"backend": "free_group", "rank": 26},
+            set={"kind": "random", "max_length": 200},
+        ),
     ],
     ids=[
         "kappa0_zero_free_group",
@@ -185,6 +192,7 @@ PATH_GRAPH = {
         "edges_not_pairs",
         "generator_not_array",
         "pingpong_no_powers",
+        "random_set_overflows_float",
     ],
 )
 def test_bad_config_exit_4(tmp_path, cfg, capsys):
@@ -251,6 +259,45 @@ def test_graph_size_is_capped_by_the_budget(tmp_path, budget, code):
     assert n**4 == 14641
     assert main(["--config", str(p), "--out", str(out), "--budget", str(budget)]) == code
     assert (out / "report.json").exists() == (code == 0)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of report.json and of sizes.csv (None where the command writes no
+# table) for every config but verify_all, whose criteria test_acceptance runs
+GOLDEN = {
+    "energy_free_product": (
+        "83f37677fa061dc4ed2a72449759b9d5a45e9bf25e8ca43601cc388da68d46e1", None,
+    ),
+    "growth_random_paper": (
+        "13fd24db815bb97c082bb8e0b5b100475875feeff5fe2c450a770911fad4941c",
+        "f07f420914b0db0f20785947dfbe322a7b94747f26739721ade67ecfd7577eb1",
+    ),
+    "growth_safin": (
+        "dd70d84deceddeb9d579cbbf1099195f3f917a76dcb4787267aee3ceedda804e",
+        "8d560c67f222aad9f8d0c8b800189580f4891bb7f6fbd20d0f0f8f0e7242b019",
+    ),
+    "pingpong_f2": (
+        "94c26942fca20a57dd0dce9558ea503884b054edf53c13173cb3296a2d955a9a", None,
+    ),
+    "reduce_random": (
+        "8a5d6e72634db231c9af8623036d6e81c758de35959f553644c198cbaa67a7e7", None,
+    ),
+    "treeapprox_cycle": (
+        "a53c0f4194bcbf09843e3de042c4d505ea9c402c2bceef5ab3335a3353abd2f7", None,
+    ),
+}
+
+
+def _sha256(path: Path):
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_config_reports_are_byte_identical_to_golden(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == 0
+    assert (_sha256(out / "report.json"), _sha256(out / "sizes.csv")) == GOLDEN[name]
 
 
 def test_installed_entry_point(tmp_path):

@@ -221,13 +221,12 @@ def test_d_factor_modes(f2_tree):
     from psgrowth.energy import d_factor
 
     U = eset(f2_tree, "a", "b")
-    assert d_factor(f2_tree, U, Mode.paper()) == 1
-    c6 = cycle_graph(6)  # delta = 1 > 0: auto resolves to acylindrical
+    assert d_factor(f2_tree, U) == 1
+    c6 = cycle_graph(6)  # delta = 1 > 0: the acylindrical factor
     Uc = ElementSet(c6.context, [c6.context.generator(0)])
-    assert d_factor(c6, Uc, Mode.paper()) == 1  # log2(2 * 1) exactly
+    assert d_factor(c6, Uc) == 1  # log2(2 * 1) exactly
     two = ElementSet(c6.context, [c6.context.generator(0), c6.context.generator(0) ** 2])
-    assert d_factor(c6, two, Mode.paper()) == 2  # log2(2 * 2) exactly
-    assert d_factor(c6, two, Mode.paper("hyperbolic_group")) == 1
+    assert d_factor(c6, two) == 2  # log2(2 * 2) exactly
 
 
 def test_classify_requires_threshold(f2_tree):

@@ -16,10 +16,10 @@ from psgrowth.growth import (
     virtually_cyclic_reason,
 )
 from psgrowth.reduction import median_split, reduce_tree
-from psgrowth.spaces import cycle_graph
+from psgrowth.spaces import FreeGroupTree, cycle_graph
 from psgrowth.words import ElementSet, random_reduced_word, safin_family
 
-from conftest import w
+from conftest import digest, w
 
 
 def eset(space, *texts):
@@ -44,7 +44,7 @@ def test_alpha_constants_exact(f2_tree):
 def test_theorem_alpha_acylindrical():
     g = cycle_graph(8)
     U = ElementSet(g.context, [g.context.generator(0)])
-    alpha = theorem_alpha(g, U, Mode.paper())
+    alpha = theorem_alpha(g, U)
     assert alpha > 0
     assert alpha == AlphaConstants.for_space(g).alpha_acyl  # log2(2*1)=1
 
@@ -259,3 +259,121 @@ def test_diffuse_pipeline_counting_c_guard(f2_tree):
     U = eset(f2_tree, "aaaa", "bbbb", "abab")
     with pytest.raises(ValueError):
         diffuse_pipeline(f2_tree, U, PRACTICAL, counting_c=Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# every exit of the two pipelines, pinned in full
+
+F2 = FreeGroupTree(2)
+
+POWERS_AND_B = ["a" * k for k in range(4, 17)] + ["b"]
+# U1 = {b^4, b^4 s, b p b^4} and U2 = {v} with s = Abab, v = s s p and p = Aba:
+# b^4 v (b p b^4) = (b^4 s) v b^4, so v extracts the period s from U1 alone
+SINGLE_MIDDLE = ["bbbb", "bbbbAbab", "bAbabbbb", "AbabAbabAba"]
+ALTERNATING = ["A"] + ["bA" * k for k in (5, 7, 9, 10, 11, 12, 13)]
+
+DIFFUSE_EXITS = {
+    "NotApplicable": (
+        lambda: diffuse_pipeline(F2, eset(F2, "ab", "abab"), PRACTICAL),
+        "NotApplicable", "all elements are powers of ab", "2738a80ebddac432",
+    ),
+    "Failed-classified-concentrated": (
+        lambda: diffuse_pipeline(F2, eset(F2, "a", "b"), PRACTICAL),
+        "Failed", "classified concentrated", "9acd22da48a6683f",
+    ),
+    "Failed-classified-below": (
+        lambda: diffuse_pipeline(F2, eset(F2, "a", "b"), Mode.paper()),
+        "Failed", "classified below_threshold", "4b3b488833271337",
+    ),
+    "Failed-reduction": (
+        lambda: diffuse_pipeline(F2, eset(F2, "Ba", "ba"), PRACTICAL, n=5),
+        "Failed", "NothingAboveFourR", "5346f865c7ccfef2",
+    ),
+    "NonPeriodic-counting": (
+        lambda: diffuse_pipeline(
+            F2, safin_family(F2.context, 4), Mode.practical(Fraction(1, 2), 1)
+        ),
+        "NonPeriodic", "counting_bound_met", "ea21f5671389ba29",
+    ),
+    "NonPeriodic-extraction-refused": (
+        lambda: diffuse_pipeline(
+            F2,
+            eset(F2, "B", "BAb", *("ba" * k for k in (2, 3, 8, 9))),
+            Mode.practical(1, 0),
+            n=5,
+            counting_c=Fraction(3, 4),
+        ),
+        "NonPeriodic", "extraction_refused:PeriodicityThresholdFailed", "6fc7d235aa2627dc",
+    ),
+    "Failed-biperiodic-refused": (
+        lambda: diffuse_pipeline(
+            F2, eset(F2, *SINGLE_MIDDLE), PRACTICAL, counting_c=Fraction(9, 16)
+        ),
+        "Failed", "biperiodic_refused:TooSmall", "d11ad9c2e0905d40",
+    ),
+    "BiPeriodic-chain-margin": (
+        lambda: diffuse_pipeline(
+            F2, eset(F2, *ALTERNATING), Mode.practical(3, 0), counting_c=Fraction(3, 4)
+        ),
+        "BiPeriodic", "chain_margin", "babce0e9bd069027",
+    ),
+    "BiPeriodic-certified": (
+        lambda: diffuse_pipeline(
+            F2, eset(F2, *POWERS_AND_B), PRACTICAL, counting_c=Fraction(3, 2)
+        ),
+        "BiPeriodic", "", "1caea2da4255f159",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFFUSE_EXITS))
+def test_every_diffuse_exit(case):
+    run, branch, reason, pinned = DIFFUSE_EXITS[case]
+    out = run()
+    assert (out.branch, out.reason) == (branch, reason)
+    assert digest(out.as_dict()) == pinned
+
+
+def concentrated(reason, u1, u2, witness=None, sizes=None, alpha=None):
+    return {
+        "certified": reason == "",
+        "u1_size": u1,
+        "u2_size": u2,
+        "witness": witness,
+        "sizes": sizes or {},
+        "reason": reason,
+        "chain_alpha": alpha,
+    }
+
+
+CONCENTRATED_EXITS = {
+    "NotConcentrated": (
+        ["1", "B", "AA", "bAbA"], 0, concentrated("NotConcentrated", 1, 0),
+    ),
+    "NoHyperbolicWitness": (
+        ["1", "AB", "Ab", "aaabAB"], 2, concentrated("NoHyperbolicWitness", 3, 0),
+    ),
+    # alpha = min_step/2 - max_product lands on 0 exactly: the margin is strict
+    "ChainMarginFailed": (
+        ["1", "A", "AA", "Abaa"], 1,
+        concentrated("ChainMarginFailed", 2, 2, "Abaa", alpha="0"),
+    ),
+    "certified": (
+        ["1", "AA", "AbbA"], 0,
+        concentrated("", 1, 1, "AbbA", {"1": 1, "2": 1, "3": 1}, "2"),
+    ),
+    # |v x0| = 5 is the shortest step: every u v x0 is 6 edges out
+    "certified-witness-step": (
+        ["a", "b", "B", "aaaab"], 1,
+        concentrated("", 3, 3, "aaaab", {"1": 3, "2": 9, "3": 27}, "3/2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONCENTRATED_EXITS))
+def test_every_concentrated_exit(case):
+    texts, threshold, expected = CONCENTRATED_EXITS[case]
+    out = concentrated_pipeline(
+        F2, eset(F2, *texts), F2.basepoint(), Mode.practical(threshold, 0)
+    )
+    assert out.as_dict() == expected

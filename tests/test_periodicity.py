@@ -17,7 +17,7 @@ from psgrowth.periodicity import (
 )
 from psgrowth.words import ElementSet, power_of, primitive_root, random_reduced_word
 
-from conftest import w
+from conftest import digest, w
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +322,81 @@ def test_pingpong_paper_mode_spacing(f2_tree):
     V = ElementSet(f2_tree.context, [ab**120, ab**240, ab**360])
     cert = pingpong_certify(f2_tree, V, ab, w(f2_tree, "b"), 2, one)
     assert cert.certified
+
+
+# V as (base, power) pairs, root, t, a_value -> reason, certified, pinned
+# digest of as_dict()
+PINGPONG_EXITS = {
+    "singleton": ((("ab", 10),), "ab", "b", None, "singleton", True, "32016faa10ac99fe"),
+    "x0_off_axis": ((("baB", 10), ("baB", 20)), "baB", "a", 1, "x0_off_axis", False,
+                    "3454de3a27333855"),
+    "outside_root": ((("ab", 10), ("b", 1)), "ab", "b", 1, "element b outside <root>", False,
+                     "10a5d29d122c45af"),
+    "t_not_e_reduced": ((("ab", 10), ("ab", 20)), "ab", "abb", 1, "t_not_e_reduced", False,
+                        "b3d1a9fb29960844"),
+    "spacing": ((("ab", 1), ("ab", 2)), "ab", "b", 2, "spacing", False, "39363e56664b1660"),
+    # max product 1 against min step 2: alpha = 0 is refused
+    "chain_margin": ((("ab", 1), ("ab", 2)), "ab", "a", 0, "chain_margin", False,
+                     "ec6b1527deeff928"),
+    "certified": ((("ab", 10), ("ab", 20), ("ab", 30)), "ab", "b", 2, "", True,
+                  "2b5ba4623a605177"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINGPONG_EXITS))
+def test_every_pingpong_exit(f2_tree, case):
+    pairs, root, t, a_value, reason, certified, pinned = PINGPONG_EXITS[case]
+    V = ElementSet(f2_tree.context, [w(f2_tree, base) ** k for base, k in pairs])
+    cert = pingpong_certify(
+        f2_tree, V, w(f2_tree, root), w(f2_tree, t), 3, f2_tree.basepoint(), a_value=a_value
+    )
+    assert (cert.reason, cert.certified) == (reason, certified)
+    assert digest(cert.as_dict()) == pinned
+
+
+def _four_loop_chain(space, members, t, x0):
+    """Reference for the chain data: the proof's four families of pairs,
+    each point acted on afresh, and the three families of steps."""
+    gamma_all = members + [va * vb.inverse() for va, vb in itertools.permutations(members, 2)]
+    gamma_inv = [v.inverse() for v in members]
+    t_inv = t.inverse()
+
+    def prod(left, right):
+        return space.gromov_product(space.act(left, x0), space.act(right, x0), x0)
+
+    pairs = (
+        [(v.inverse(), t * g) for v in members for g in gamma_all]
+        + [(g1.inverse() * t_inv, t * g2) for g1 in gamma_all for g2 in gamma_all]
+        + [(g1.inverse() * t_inv, t_inv * g2) for g1 in gamma_all for g2 in gamma_inv]
+        + [(g1.inverse() * t, t_inv * g2) for g1 in gamma_inv for g2 in gamma_inv]
+    )
+    steps = members + [t * g for g in gamma_all] + [t_inv * g for g in gamma_inv]
+    return (
+        max(prod(left, right) for left, right in pairs),
+        min(space.dist(x0, space.act(g, x0)) for g in steps),
+    )
+
+
+def test_pingpong_chain_matches_four_loop_reference(f2_tree, z5z7_tree):
+    rng = random.Random(12)
+    reached = 0
+    for _ in range(300):
+        space = rng.choice([f2_tree, z5z7_tree])
+        if space is f2_tree:
+            root = w(space, rng.choice(["ab", "aab", "abB", "bbaB", "aBab"]))
+            t = random_reduced_word(rng, space.context, rng.randint(1, 4))
+        else:
+            root = w(space, rng.choice(["ab", "aab", "abbb", "aaabb"]))
+            t = w(space, rng.choice(["a", "aa", "b", "bbb", "aab", "ba", "abbb"]))
+        V = ElementSet(space.context, [root**k for k in rng.sample(range(1, 7), 2)])
+        x0 = space.act(root ** rng.randint(-2, 2), space.basepoint())
+        cert = pingpong_certify(space, V, root, t, 2, x0, a_value=0)
+        if cert.reason not in ("", "chain_margin"):
+            continue
+        reached += 1
+        reference = _four_loop_chain(space, list(V), t, x0)
+        assert (cert.max_chain_product, cert.min_step) == reference
+    assert reached >= 50
 
 
 # ---------------------------------------------------------------------------
