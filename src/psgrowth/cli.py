@@ -306,7 +306,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
 
     elif command == "energy":
         U = build_set(cfg, space, seed)
-        prof = classify(space, U, minimize_energy(space, U, mode), mode)
+        prof = classify(space, U, minimize_energy(space, U), mode)
         report["profile"] = {
             "base_point": space.encode_point(prof.base_point),
             "energy": str(prof.energy),
@@ -318,7 +318,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
 
     elif command == "reduce":
         U = build_set(cfg, space, seed)
-        prof = minimize_energy(space, U, mode)
+        prof = minimize_energy(space, U)
         x0 = prof.base_point
         res = reduce_at(space, U, x0, _frac(cfg.get("reduce", {}).get("r")))
         report["reduction"] = res.as_dict()

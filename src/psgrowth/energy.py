@@ -123,9 +123,7 @@ def _descend(space: ActionSpace, U: ElementSet, x) -> tuple:
         steps += 1
 
 
-def minimize_energy(
-    space: ActionSpace, U: ElementSet, mode: Mode = Mode.paper(), start=None
-) -> EnergyProfile:
+def minimize_energy(space: ActionSpace, U: ElementSet, start=None) -> EnergyProfile:
     """Steepest descent over vertices (trees) or exhaustive scan (finite
     graphs); deterministic tie-break by vertex encoding."""
     if len(U) == 0:
@@ -147,7 +145,6 @@ def minimize_energy(
         energy=energy,
         displacement=displacement,
         d_factor=d_factor(space, U),
-        mode_name=mode.name,
         descent_steps=steps,
     )
 

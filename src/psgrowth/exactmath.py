@@ -43,13 +43,16 @@ def within_log_bound(value: Fraction, delta: Fraction, n: int) -> bool:
     return leq_log2(value / (2 * delta) - 1, n)
 
 
-def log2_upper(n: int, precision_bits: int = 12) -> Fraction:
-    """Smallest dyadic p/2^precision_bits that is >= log2(n).
+LOG2_PRECISION_BITS = 12
+
+
+def log2_upper(n: int) -> Fraction:
+    """Smallest dyadic p/2^LOG2_PRECISION_BITS that is >= log2(n).
 
     Used where a rational stand-in for log2(n) is needed as a tolerance;
     rounding up keeps certificate thresholds sound (never tighter than the
-    true bound).  The verification computes n**(2^precision_bits) once, so
-    keep the precision moderate (the default grid is 1/4096).
+    true bound).  The verification computes n**(2^LOG2_PRECISION_BITS)
+    once, so the precision stays moderate (a grid of 1/4096).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -58,7 +61,7 @@ def log2_upper(n: int, precision_bits: int = 12) -> Fraction:
     exact = n.bit_length() - 1
     if n == 1 << exact:
         return Fraction(exact)
-    denom = 1 << precision_bits
+    denom = 1 << LOG2_PRECISION_BITS
     lo, hi = exact * denom, (exact + 1) * denom
     # binary search the least p with n <= 2**(p/denom), i.e. n**denom <= 2**p
     npow = n ** denom

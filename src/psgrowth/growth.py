@@ -171,7 +171,7 @@ def growth_report(
             violations.append(f"|U^{k}| = {sizes[k]} < bound {bounds[k]}")
 
     entropy_display = 0.5 * math.log(float(alpha) * len(U)) if len(U) else 0.0
-    prof = classify(space, U, minimize_energy(space, U, mode), mode) if reason is None else None
+    prof = classify(space, U, minimize_energy(space, U), mode) if reason is None else None
     trace = []
     if prof is not None:
         trace.append(f"case={prof.case.value}")
@@ -406,7 +406,7 @@ def diffuse_pipeline(
     if reason is not None:
         return refuse("NotApplicable", reason)
 
-    prof = classify(space, U, minimize_energy(space, U, mode), mode)
+    prof = classify(space, U, minimize_energy(space, U), mode)
     if prof.case is not Case.DIFFUSE:
         return refuse("Failed", f"classified {prof.case.value}")
     x0 = prof.base_point

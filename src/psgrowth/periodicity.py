@@ -263,15 +263,10 @@ def is_biperiodic(space: ActionSpace, V: ElementSet, x0, threshold=None):
     members = list(V)
     if len(members) < 2:
         return Refusal("TooSmall", detail=f"|V| = {len(members)}")
+    # the members are distinct, so neither quotient is the identity
     v1, v2 = members[0], members[1]
-    d12 = v1 * v2.inverse()
-    if d12.is_identity:
-        return Refusal("DegenerateSet")
-    e1_root, _ = primitive_root(d12)
-    e2_candidate = v1.inverse() * v2
-    if e2_candidate.is_identity:
-        return Refusal("DegenerateSet")
-    e2_root, _ = primitive_root(e2_candidate)
+    e1_root, _ = primitive_root(v1 * v2.inverse())
+    e2_root, _ = primitive_root(v1.inverse() * v2)
 
     certs = []
     for v in members:
@@ -302,7 +297,9 @@ def e_reduce(space: ActionSpace, t: GroupElement, e_root: GroupElement, x0):
 
     The power window is |p| <= displacement(t)/[E] + 2 in each variable;
     sufficiency is certified by checking the window boundary is
-    nondecreasing (displacement is unimodal in each power on trees)."""
+    nondecreasing (displacement is unimodal in each power on trees).  On a
+    graph it need not be: a boundary that decreases is refused as
+    `WindowNotMonotone`."""
     root, axis = _normalized_root(space, e_root)
     if axis_distance(space, axis, x0) != 0:
         raise ValueError("x0 must lie on the axis of the root")
@@ -332,7 +329,7 @@ def e_reduce(space: ActionSpace, t: GroupElement, e_root: GroupElement, x0):
         and disp(p_star, W) >= disp(p_star, W - 1)
         and disp(p_star, -W) >= disp(p_star, -W + 1)
     ):
-        raise RuntimeError("e_reduce window boundary is not monotone")
+        return Refusal("WindowNotMonotone", detail=str(t))
 
     e = powers[p_star]
     f = powers[q_star]

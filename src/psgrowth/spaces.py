@@ -11,8 +11,7 @@ Three immutable backends:
                        given by adjacency-preserving vertex permutations
 
 All distances are exact `Fraction`s (integer multiples of the edge length
-rho0).  Infinite backends never materialize the space: sphere queries are
-scoped to the convex hull of explicitly supplied points.
+rho0).  Infinite backends never materialize the space.
 """
 
 from __future__ import annotations
@@ -40,6 +39,9 @@ def _as_fraction(x) -> Fraction:
 # Bass-Serre edge label of a step that changes only the vertex tag; it
 # sorts with the (generator, exponent) syllable labels.
 TAG_STEP = (-1, 0)
+
+# the most points a free-group sphere lists
+SPHERE_CAP = 200_000
 
 
 def _check_steps(k: int, length: int) -> None:
@@ -72,8 +74,9 @@ class ActionSpace:
     # exists
     is_tree = False
 
-    # subclasses implement: dist, act, geodesic, point_at, sphere,
-    # basepoint, check_point, point_key, encode_point, translation_length
+    # subclasses implement: dist, act, geodesic, point_at, ball_size,
+    # basepoint, check_point, point_key, encode_point, translation_length;
+    # FreeGroupTree alone lists a sphere (of the whole free group)
 
     def _set_scale(self, rho0, kappa0, N0) -> None:
         """Store the edge length rho0, the acylindricity distance kappa0
@@ -188,17 +191,14 @@ class FreeGroupTree(ActionSpace):
             raise RuntimeError("free group translation length mismatch")
         return AxisData(g, length, True, tuple(self.geodesic(conj, end)), conj)
 
-    def sphere(self, x, r, scope: Optional[Sequence] = None, cap: int = 200_000) -> list:
+    def sphere(self, x, r) -> list:
         k = self.steps(r)
-        if scope is not None:
-            hull = self.hull_points(list(scope) + [x])
-            return [v for v in hull if self.dist(x, v) == _as_fraction(r)]
         if k == 0:
             return [x]
         m = self.context.rank
         count = 2 * m * (2 * m - 1) ** (k - 1)
-        if count > cap:
-            raise ValueError(f"unscoped sphere would have {count} points; pass a scope")
+        if count > SPHERE_CAP:
+            raise ValueError(f"sphere would have {count} points, over {SPHERE_CAP}")
         out = []
         stack = [(x, None, 0)]
         letters = [
@@ -285,87 +285,57 @@ class FreeProductTree(ActionSpace):
             raise ValueError("group element from a different context")
         return self.vertex(g * x[0], x[1])
 
-    def _edge_steps(self, start_tag: int, word: GroupElement, end_tag: int) -> int:
-        steps = 0
-        side = start_tag
-        idx, syllables = 0, word.syllables
-        while idx < len(syllables):
-            if syllables[idx][0] == side:
-                idx += 1
-            steps += 1
-            side = 1 - side
-        if side != end_tag:
-            steps += 1
-        return steps
+    @staticmethod
+    def _labels(start_tag: int, word: GroupElement, end_tag: int) -> tuple:
+        """Edge labels of the geodesic from (1, start_tag) to (word, end_tag).
+        An edge is labelled by the syllable it consumes, or by `TAG_STEP`
+        when it only changes the tag.  A trailing syllable of end_tag stays
+        inside the end coset; normal forms alternate factors, so only the
+        first edge can be tag-only."""
+        syllables = word.syllables
+        if syllables and syllables[-1][0] == end_tag:
+            syllables = syllables[:-1]
+        if not syllables:
+            return () if start_tag == end_tag else (TAG_STEP,)
+        if syllables[0][0] != start_tag:
+            return (TAG_STEP,) + syllables
+        return syllables
 
-    def _path_word(self, x, y) -> GroupElement:
-        """x[0]^-1 y[0] without a trailing syllable of y's tag: the
-        syllables that the geodesic [x, y] consumes."""
+    def _path(self, x, y) -> tuple:
+        """Edge labels of the geodesic [x, y]."""
         self.check_point(x)
         self.check_point(y)
-        w = x[0].inverse() * y[0]
-        if w.syllables and w.syllables[-1][0] == y[1]:
-            w = GroupElement(self.context, w.syllables[:-1])
-        return w
+        return self._labels(x[1], x[0].inverse() * y[0], y[1])
 
     def dist(self, x, y) -> Fraction:
-        w = self._path_word(x, y)
-        if not w.syllables and x[1] == y[1]:
-            return Fraction(0)
-        return self._edge_steps(x[1], w, y[1]) * self.rho0
+        return len(self._path(x, y)) * self.rho0
 
     def geodesic(self, x, y) -> list:
-        w = self._path_word(x, y)
         points = [x]
-        prefix = x[0]
-        side = x[1]
-        idx, syllables = 0, w.syllables
-        while idx < len(syllables):
-            if syllables[idx][0] == side:
-                prefix = prefix * GroupElement(self.context, (syllables[idx],))
-                idx += 1
+        prefix, side = x
+        for label in self._path(x, y):
+            if label != TAG_STEP:
+                prefix = prefix * GroupElement(self.context, (label,))
             side = 1 - side
             points.append(self.vertex(prefix, side))
-        if side != y[1]:
-            points.append(self.vertex(prefix, y[1]))
         if points[-1] != y:
             raise RuntimeError("geodesic endpoint mismatch")
         return points
 
     def point_at(self, x, y, k: int):
         """`geodesic(x, y)[k]`, without building the rest of the geodesic."""
-        w = self._path_word(x, y)
-        _check_steps(k, self._edge_steps(x[1], w, y[1]))
-        side = x[1]
-        idx, syllables = 0, w.syllables
-        for _ in range(k):
-            if idx < len(syllables) and syllables[idx][0] == side:
-                idx += 1
-            side = 1 - side
-        return self.vertex(x[0] * GroupElement(self.context, syllables[:idx]), side)
+        labels = self._path(x, y)
+        _check_steps(k, len(labels))
+        consumed = tuple(label for label in labels[:k] if label != TAG_STEP)
+        return self.vertex(x[0] * GroupElement(self.context, consumed), x[1] ^ (k % 2))
 
     def orbit_labels(self, g: GroupElement, x) -> tuple[tuple, tuple]:
         """Edge labels of [x, g x] and of [x, g^-1 x], from the one
-        conjugate c = w^-1 g w, where x = (w, tag).  An edge is labelled by
-        the syllable it consumes, or by `TAG_STEP` when it only changes the
-        tag.  Two geodesics from x share exactly k edges when their labels
-        share a prefix of length k."""
+        conjugate c = w^-1 g w, where x = (w, tag).  Two geodesics from x
+        share exactly k edges when their labels share a prefix of length k."""
         w, tag = x
         c = w.inverse() * g * w
-        return self._labels_from_base(c, tag), self._labels_from_base(c.inverse(), tag)
-
-    @staticmethod
-    def _labels_from_base(c: GroupElement, tag: int) -> tuple:
-        """Edge labels of [(1, tag), (c, tag)]: the syllables of the coset
-        representative, after one tag-only edge when the first syllable lies
-        in the other factor (normal forms alternate factors, so no other
-        edge is tag-only)."""
-        syllables = c.syllables
-        if syllables and syllables[-1][0] == tag:
-            syllables = syllables[:-1]
-        if syllables and syllables[0][0] != tag:
-            return (TAG_STEP,) + syllables
-        return syllables
+        return self._labels(tag, c, tag), self._labels(tag, c.inverse(), tag)
 
     def translation_length(self, g: GroupElement) -> AxisData:
         """[g] exactly, via cyclic reduction: an elliptic g fixes a vertex;
@@ -385,42 +355,21 @@ class FreeProductTree(ActionSpace):
             raise RuntimeError("free product translation length mismatch")
         return AxisData(g, length, True, tuple(self.geodesic(anchor, end)), anchor)
 
-    def sphere(self, x, r, scope: Optional[Sequence] = None) -> list:
-        if scope is None:
-            raise ValueError("FreeProductTree spheres require a scope")
-        hull = self.hull_points(list(scope) + [x])
-        return [v for v in hull if self.dist(x, v) == _as_fraction(r)]
-
-    def neighbors(self, v) -> list:
-        """All tree neighbors: the edges through the elements of the coset
-        (finite factor orders only)."""
-        word, tag = v
-        order = self.context.orders[tag]
-        if order is None:
-            raise ValueError("infinite factor: the vertex link is infinite")
-        out = [self.vertex(word, 1 - tag)]
-        gen = self.context.generator(tag)
-        cur = word
-        for _ in range(order - 1):
-            cur = cur * gen
-            out.append(self.vertex(cur, 1 - tag))
-        return out
-
     def ball_size(self, x, r) -> int:
-        """|B(x, r)| by breadth-first enumeration (finite factors only)."""
+        """|B(x, r)| in closed form (finite factors only): a vertex of tag t
+        has orders[t] neighbours, each later vertex one fewer than its
+        factor's order children, and the tags alternate level by level."""
         k = self.steps(r)
-        seen = {self.point_key(x)}
-        frontier = [x]
-        for _ in range(k):
-            nxt = []
-            for v in frontier:
-                for u in self.neighbors(v):
-                    key = self.point_key(u)
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(u)
-            frontier = nxt
-        return len(seen)
+        total = level = 1
+        tag = x[1]
+        for depth in range(k):
+            order = self.context.orders[tag]
+            if order is None:
+                raise ValueError("infinite factor: the vertex link is infinite")
+            level *= order if depth == 0 else order - 1
+            total += level
+            tag = 1 - tag
+        return total
 
 
 class FiniteHypGraph(ActionSpace):
@@ -591,11 +540,6 @@ class FiniteHypGraph(ActionSpace):
         length, argmin = min(disp)
         cg = tuple(v for d, v in disp if d <= length + 8 * self.delta)
         return AxisData(g, length, length > 0, cg, argmin)
-
-    def sphere(self, x, r, scope=None) -> list:
-        self.check_point(x)
-        k = self.steps(r)
-        return [v for v in range(self.n) if self._hops[x, v] == k]
 
     def ball_size(self, x, r) -> int:
         k = self.steps(r)

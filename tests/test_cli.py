@@ -150,6 +150,29 @@ def test_pingpong_budget_exit_3(tmp_path):
     assert main(["--config", str(p), "--out", str(tmp_path / "o"), "--budget", "5"]) == 3
 
 
+def test_pingpong_on_a_graph_refuses_a_window_that_is_not_monotone(tmp_path):
+    # on C_9 with a rotation and a reflection, t = aab has no certified
+    # E-reduction at vertex 0: the run reports the refusal and exits 2
+    n = 9
+    cfg = {
+        "command": "pingpong",
+        "space": {
+            "backend": "graph",
+            "graph": {
+                "vertices": n,
+                "edges": [[i, (i + 1) % n] for i in range(n)],
+                "generators": [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]],
+            },
+        },
+        "pingpong": {"root": "a", "t": "aab", "powers": [1, 2], "n": 2},
+    }
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["pingpong"]["reason"] == "t_not_e_reduced"
+
+
 PATH_GRAPH = {
     "backend": "graph",
     "graph": {"vertices": 3, "edges": [[0, 1], [1, 2]], "generators": [[2, 1, 0]]},

@@ -244,7 +244,7 @@ def test_diffuse_pipeline_counting_set_at_n5(f2_tree):
     U = ElementSet(ctx, members)
     out = diffuse_pipeline(f2_tree, U, PRACTICAL, n=5)
     assert out.branch == "NonPeriodic", out.reason
-    x0 = minimize_energy(f2_tree, U, PRACTICAL).base_point
+    x0 = minimize_energy(f2_tree, U).base_point
     red = reduce_tree(
         f2_tree, U, x0, f2_tree.rho0,
         hypothesis_displacement=PRACTICAL.concentration_threshold,

@@ -9,12 +9,14 @@ from psgrowth.periodicity import (
     PeriodCertificate,
     Refusal,
     e_reduce,
+    is_e_reduced,
     extract_period_from_equations,
     is_biperiodic,
     is_periodic,
     pingpong_certify,
     separate,
 )
+from psgrowth.spaces import FiniteHypGraph
 from psgrowth.words import ElementSet, power_of, primitive_root, random_reduced_word
 
 from conftest import digest, w
@@ -170,6 +172,105 @@ def test_extract_period_random_instances(f2_tree):
         built += 1
 
 
+def path_with_reflection(n):
+    """P_n with its reflection as the one generator."""
+    return FiniteHypGraph(n, [(i, i + 1) for i in range(n - 1)], [[n - 1 - i for i in range(n)]])
+
+
+def thick_path(m):
+    """Levels 0..m, each a clique joined completely to the next: triangles
+    at both ends, pairs between (delta = 1/2).  Generators a and b both act
+    as the rotation of every level, which moves every vertex, and c as the
+    reflection of the levels."""
+    sizes = [3] + [2] * (m - 1) + [3]
+    levels, n = [], 0
+    for size in sizes:
+        levels.append(list(range(n, n + size)))
+        n += size
+    edges = []
+    for i, level in enumerate(levels):
+        edges += [(p, q) for p in level for q in level if p < q]
+        edges += [(p, q) for p in level for q in (levels[i + 1] if i < m else [])]
+    rotation, reflection = [0] * n, [0] * n
+    for i, level in enumerate(levels):
+        for j, p in enumerate(level):
+            rotation[p] = level[(j + 1) % len(level)]
+            reflection[p] = levels[m - i][j]
+    return FiniteHypGraph(n, edges, [rotation, rotation, reflection])
+
+
+def outer_equations(space, outers, v_text, g_text):
+    """(u, v, v^-1 u^-1 g) for each outer element u: all products equal g."""
+    v, g = w(space, v_text), w(space, g_text)
+    return [(w(space, u), v, v.inverse() * w(space, u).inverse() * g) for u in outers]
+
+
+def extraction_case(f2_tree, case):
+    """space, equations, base point and keyword arguments of one exit."""
+    ab, one = w(f2_tree, "ab"), f2_tree.basepoint()
+    if case == "ConnectorNotHyperbolic":
+        # aa acts trivially on the path, so its connector fixes every vertex
+        space = path_with_reflection(6)
+        return space, outer_equations(space, ["aa", ""], "a", "a"), 0, {}
+    if case == "ConnectorsInDifferentSubgroups":
+        # the connectors a and b act alike but have different roots
+        space = thick_path(14)
+        return space, outer_equations(space, ["", "a", "ab"], "c", "c"), 0, {}
+    built = {
+        "TooFewEquations": ([1], 200, 300),
+        "SymmetryBoundViolated": ([1, 30], 3, 40),
+        "DuplicateOuterElements": ([1, 1], 200, 300),
+        "PaperHypothesesUnmet": ([1, 2, 3, 4], 200, 300),
+        # |v x0| = 10 against the paper threshold 3 nu [ab] = 24
+        "PeriodicityThresholdFailed": ([1, 2], 5, 10),
+        "certified": ([1, 2, 3, 4], 200, 300),
+    }
+    if case in built:
+        eqs, _, _ = build_equations(f2_tree, "ab", *built[case])
+        return f2_tree, eqs, one, {"paper_mode": case == "PaperHypothesesUnmet"}
+    a, b = w(f2_tree, "a"), w(f2_tree, "b")
+    if case == "DifferentMiddleElements":
+        eqs = [(a, ab**30, b), (a, ab**31, b)]
+    elif case == "ProductsNotEqual":
+        eqs = [(a, ab**30, b), (b, ab**30, b)]
+    elif case == "MiddleTooShort":
+        eqs = outer_equations(f2_tree, ["a", "b"], "", "ab")
+    else:  # ProductsNotReduced: bA ends with the inverse of v's first letter
+        v = ab**50
+        g = w(f2_tree, "bb") * v * v
+        eqs = [(u, v, v.inverse() * u.inverse() * g) for u in (w(f2_tree, "bA"), w(f2_tree, "bb"))]
+    return f2_tree, eqs, one, {}
+
+
+# every refusal that an input reaches, and a certified result, pinned by a
+# digest of as_dict(); ReducedProductBoundsFailed is left out (see CHANGES.md)
+EXTRACTION_EXITS = {
+    "TooFewEquations": "128e5737263a55f8",
+    "DifferentMiddleElements": "6a149d42e3ee1a46",
+    "ProductsNotEqual": "c769885a6e1c89cd",
+    "MiddleTooShort": "fdd385feebf5fce4",
+    "ProductsNotReduced": "93164b0885670f1f",
+    "SymmetryBoundViolated": "a65efb2052cc1805",
+    "DuplicateOuterElements": "7766c79b4f218590",
+    "PaperHypothesesUnmet": "c545799c8523fae4",
+    "ConnectorNotHyperbolic": "5e2b265c4821e328",
+    "ConnectorsInDifferentSubgroups": "deae4c9203d35a78",
+    "PeriodicityThresholdFailed": "e72358787e8f514d",
+    "certified": "2408c8885a627848",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTRACTION_EXITS))
+def test_every_extraction_exit(f2_tree, case):
+    space, eqs, x0, kwargs = extraction_case(f2_tree, case)
+    res = extract_period_from_equations(space, eqs, x0, **kwargs)
+    if case == "certified":
+        assert isinstance(res, PeriodCertificate)
+    else:
+        assert isinstance(res, Refusal) and res.reason == case
+    assert digest(res.as_dict()) == EXTRACTION_EXITS[case]
+
+
 # ---------------------------------------------------------------------------
 # bi-periodic sets
 
@@ -260,6 +361,31 @@ def test_e_reduce_lemma_products(f2_tree):
                         )
                         <= e_len / 2
                     )
+
+
+def dihedral_cycle(n):
+    """C_n with the rotation a and the reflection b as generators."""
+    return FiniteHypGraph(
+        n,
+        [(i, (i + 1) % n) for i in range(n)],
+        [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]],
+    )
+
+
+def test_e_reduce_refuses_a_window_that_is_not_monotone():
+    # displacement need not be unimodal in the powers on a graph: on C_9
+    # the window boundary decreases at these base points, which e_reduce
+    # refuses and the ping-pong certificate reports as t not E-reduced
+    c9 = dihedral_cycle(9)
+    a, b = w(c9, "a"), w(c9, "b")
+    for x0 in (1, 2, 3, 6, 7, 8):
+        res = e_reduce(c9, b, a, x0)
+        assert isinstance(res, Refusal) and res.reason == "WindowNotMonotone"
+        assert res.detail == "b"
+        assert not is_e_reduced(c9, b, a, x0)
+    assert e_reduce(c9, b, a, 0) == (c9.context.identity(), b, c9.context.identity())
+    cert = pingpong_certify(c9, ElementSet(c9.context, [a, a * a]), a, w(c9, "aab"), 2, 0)
+    assert (cert.certified, cert.reason) == (False, "t_not_e_reduced")
 
 
 # ---------------------------------------------------------------------------
