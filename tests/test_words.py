@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from psgrowth.words import (
     BudgetExceededError,
     ElementSet,
+    GroupElement,
     cyclic_reduce,
     free_group,
     free_product,
@@ -117,6 +118,114 @@ def test_inverse_involution_and_cancellation(x):
     assert (g * g.inverse()).is_identity
 
 
+# ---------------------------------------------------------------------------
+# free products: a letter-by-letter reducer as the oracle
+
+
+def fp_reduce(orders, letters):
+    """Syllables of a letter sequence in the free product of cyclic groups of
+    the given orders, one letter at a time: a finite factor's exponent wraps
+    mod its order, an infinite factor's (order None) never wraps."""
+    out = []
+    for g, s in letters:
+        n = orders[g]
+        if out and out[-1][0] == g:
+            e = out[-1][1] + s
+            if n is not None:
+                e %= n
+            if e:
+                out[-1][1] = e
+            else:
+                out.pop()
+        else:
+            out.append([g, s % n if n is not None else s])
+    return tuple((g, e) for g, e in out)
+
+
+def raw_letters(text):
+    return [(ord(c.lower()) - 97, 1 if c.islower() else -1) for c in text]
+
+
+def inverse_letters(letters):
+    return [(g, -s) for g, s in reversed(letters)]
+
+
+ZZ3 = free_product(None, 3)
+FREE_PRODUCTS = {"Z/2*Z/3": Z2Z3, "Z/5*Z/7": Z5Z7, "Z*Z/3": ZZ3}
+fp_contexts = st.sampled_from(sorted(FREE_PRODUCTS))
+fp_texts = st.text(alphabet="abAB", max_size=14)
+
+
+@given(fp_contexts, fp_texts, fp_texts)
+def test_free_product_multiply_matches_letter_oracle(name, x, y):
+    ctx = FREE_PRODUCTS[name]
+    prod = parse(ctx, x) * parse(ctx, y)
+    assert prod.syllables == fp_reduce(ctx.orders, raw_letters(x + y))
+
+
+@given(fp_contexts, fp_texts)
+def test_free_product_inverse_matches_letter_oracle(name, x):
+    ctx = FREE_PRODUCTS[name]
+    inv = parse(ctx, x).inverse()
+    assert inv.syllables == fp_reduce(ctx.orders, inverse_letters(raw_letters(x)))
+
+
+@settings(max_examples=60)
+@given(fp_contexts, st.text(alphabet="abAB", max_size=8), st.integers(-4, 6))
+def test_free_product_power_matches_letter_oracle(name, x, k):
+    ctx = FREE_PRODUCTS[name]
+    letters = raw_letters(x) if k >= 0 else inverse_letters(raw_letters(x))
+    assert (parse(ctx, x) ** k).syllables == fp_reduce(ctx.orders, letters * abs(k))
+
+
+def test_letter_oracle_wraps_finite_factors_only():
+    # b^3 = 1 in Z/3, a^-2 stays a^-2 in Z
+    assert fp_reduce(ZZ3.orders, raw_letters("AAbbb")) == ((0, -2),)
+    assert fp_reduce(Z5Z7.orders, raw_letters("A")) == ((0, 4),)
+    assert fp_reduce(Z2Z3.orders, raw_letters("abBA")) == ()
+
+
+# ---------------------------------------------------------------------------
+# normal form and identity
+
+
+def assert_normal_form(x):
+    ctx = x.context
+    for (g, _), (h, _) in zip(x.syllables, x.syllables[1:]):
+        assert g != h
+    for g, e in x.syllables:
+        n = ctx.order_of(g)
+        assert 1 <= e < n if n is not None else e != 0
+    again = parse(ctx, str(x))
+    assert again == x and hash(again) == hash(x)
+
+
+ALL_CONTEXTS = dict(FREE_PRODUCTS, F2=F2)
+
+
+@given(st.sampled_from(sorted(ALL_CONTEXTS)), fp_texts, fp_texts)
+def test_products_and_inverses_are_in_normal_form(name, x, y):
+    ctx = ALL_CONTEXTS[name]
+    gx, gy = parse(ctx, x), parse(ctx, y)
+    for el in (gx * gy, gx.inverse(), gx * gy.inverse(), gx ** 3):
+        assert_normal_form(el)
+
+
+def test_equal_syllables_in_two_contexts_stay_apart():
+    x, y = parse(F2, "ab"), parse(Z5Z7, "ab")
+    assert x.syllables == y.syllables
+    assert x != y and y != x
+    assert len({x, y}) == 2
+    assert {x, y} == {parse(F2, "ab"), parse(Z5Z7, "ab")}
+
+
+def test_public_constructor_equals_arithmetic():
+    # GroupElement(ctx, syllables) stays the public way to build a normal form
+    built = GroupElement(Z5Z7, ((0, 2), (1, 6)))
+    assert built == parse(Z5Z7, "aaB") and hash(built) == hash(parse(Z5Z7, "aaB"))
+    assert built.context is Z5Z7 and built.syllables == ((0, 2), (1, 6))
+
+
 def test_identity_neutral_random():
     rng = random.Random(11)
     e = F2.identity()
@@ -154,6 +263,18 @@ def test_cyclic_reduce_recomposes(x):
         first = core.letters()[0]
         last = core.letters()[-1]
         assert not (first[0] == last[0] and first[1] == -last[1])
+
+
+@given(st.sampled_from(sorted(ALL_CONTEXTS)), st.text(alphabet="abAB", min_size=1, max_size=14))
+def test_cyclic_reduce_recomposes_in_every_context(name, x):
+    g = parse(ALL_CONTEXTS[name], x)
+    core, conj = cyclic_reduce(g)
+    assert_normal_form(core)
+    assert_normal_form(conj)
+    assert conj * core * conj.inverse() == g
+    assert core.syllable_count <= 1 or core.first_factor() != core.last_factor() or (
+        core.context is F2 and core.syllables[0][1] * core.syllables[-1][1] > 0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +316,21 @@ def test_primitive_root_roundtrip(x, k):
     root, power = primitive_root(g ** k)
     assert root ** power == g ** k
     assert primitive_root(root)[1] == 1
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(sorted(ALL_CONTEXTS)),
+    st.text(alphabet="abAB", min_size=1, max_size=8),
+    st.integers(1, 4),
+)
+def test_primitive_root_roundtrip_in_every_context(name, x, k):
+    g = parse(ALL_CONTEXTS[name], x) ** k
+    if g.is_identity:
+        return
+    root, power = primitive_root(g)
+    assert_normal_form(root)
+    assert root ** power == g
 
 
 def test_power_of():
