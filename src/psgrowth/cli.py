@@ -179,6 +179,25 @@ def build_space(cfg: dict):
     return load_graph(section["graph"], rho0=rho0, kappa0=kappa0, N0=n0)
 
 
+# a random set's size when the config leaves it out
+_RANDOM_SET_COUNT = 50
+_RANDOM_SET_MAX_LENGTH = 6
+
+
+def _set_build_size(section: dict) -> int:
+    """What `build_set` makes before any budget applies: the letters of a
+    random set's `count` words of up to `max_length` letters, the 2·n_big + 2
+    elements of a Safin family, or nothing beyond an explicit list."""
+    kind = section.get("kind", "explicit")
+    if kind == "random":
+        return section.get("count", _RANDOM_SET_COUNT) * section.get(
+            "max_length", _RANDOM_SET_MAX_LENGTH
+        )
+    if kind == "safin":
+        return 2 * section.get("n_big", 0) + 2
+    return 0
+
+
 def build_set(cfg: dict, space, seed: int) -> ElementSet:
     section = cfg.get("set")
     if section is None:
@@ -196,8 +215,8 @@ def build_set(cfg: dict, space, seed: int) -> ElementSet:
             raise ConfigError("safin set needs 'n_big'")
         return safin_family(ctx, section["n_big"])
     # random: uniform over reduced words of length <= max_length
-    count = section.get("count", 50)
-    max_len = section.get("max_length", 6)
+    count = section.get("count", _RANDOM_SET_COUNT)
+    max_len = section.get("max_length", _RANDOM_SET_MAX_LENGTH)
     rng = random.Random(seed)
     if ctx.kind != "free":
         raise ConfigError("random sets are defined for free-group backends")
@@ -249,6 +268,10 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         n = cfg["space"]["graph"]["vertices"]
         if n**4 > budget:
             raise BudgetExceededError(f"{n} vertices make {n**4} quadruples")
+    # a set is built whole before any enumeration budget applies
+    size = _set_build_size(cfg.get("set", {}))
+    if size > budget:
+        raise BudgetExceededError(f"building the set takes {size} > {budget} units")
     space = build_space(cfg)
     mode = build_mode(cfg)
     report: dict = {"config_echo": cfg, "command": command}

@@ -2,10 +2,12 @@
 free products of cyclic groups, plus product-set enumeration and seeded
 random reduced words.
 
-Elements are stored in canonical normal form as run-length syllable lists,
-so structural equality coincides with equality in the group and hashing is
-O(1) amortized.  Serialization uses compact letter strings: generators are
-``a..z``, inverses ``A..Z`` ("abA" = a * b * a^-1).
+Elements are stored in canonical normal form as run-length syllable tuples,
+so structural equality coincides with equality in the group.  A product
+cancels and merges only where its two normal forms meet and splices the
+rest, sharing the factors' syllable tuples.  Serialization uses compact
+letter strings: generators are ``a..z``, inverses ``A..Z``
+("abA" = a * b * a^-1).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Optional, Sequence
 
 FREE = "free"
@@ -83,60 +86,85 @@ def free_product(*orders: Optional[int]) -> PresentationContext:
     return PresentationContext(FREE_PRODUCT, orders=tuple(orders))
 
 
-def _norm_exp(ctx: PresentationContext, gen: int, exp: int) -> int:
-    """Canonical exponent: mod the factor order (representative 1..n-1)."""
+def _push(ctx: PresentationContext, stack: list[tuple[int, int]], gen: int, exp: int) -> None:
+    """Append one syllable to a normal-form stack, merging it with the top.
+
+    A cancelled top exposes a syllable of another factor, so one merge is
+    all a push can cause."""
     n = ctx.order_of(gen)
+    if stack and stack[-1][0] == gen:
+        exp += stack.pop()[1]
     if n is not None:
         exp %= n
-    return exp
+    if exp:
+        stack.append((gen, exp))
 
 
-def _push(ctx: PresentationContext, stack: list[list[int]], gen: int, exp: int) -> None:
-    exp = _norm_exp(ctx, gen, exp)
-    if exp == 0:
-        return
-    while True:
-        if not stack or stack[-1][0] != gen:
-            stack.append([gen, exp])
-            return
-        merged = _norm_exp(ctx, gen, stack[-1][1] + exp)
-        stack.pop()
-        if merged == 0:
-            if not stack:
-                return
-            gen, exp = stack.pop()
-            continue
-        stack.append([gen, merged])
-        return
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """A group element in canonical normal form.
 
     Do not build directly; use context constructors, `parse`, or the
     arithmetic operations, which maintain the normal form invariant.
+    Elements hash by their syllables alone and compare equal only within
+    one context.
     """
 
     context: PresentationContext
     syllables: tuple[tuple[int, int], ...]
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self.syllables == other.syllables and (
+            self.context is other.context or self.context == other.context
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.syllables)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.context != other.context:
+        ctx = self.context
+        if other.context is not ctx and other.context != ctx:
             raise ValueError("context mismatch")
-        stack: list[list[int]] = [list(s) for s in self.syllables]
-        for gen, exp in other.syllables:
-            _push(self.context, stack, gen, exp)
-        return GroupElement(self.context, tuple((g, e) for g, e in stack))
+        a, b = self.syllables, other.syllables
+        if not a:
+            return other
+        if not b:
+            return self
+        # cancel across the junction: a[i] meets b[j]
+        i, j = len(a) - 1, 0
+        while True:
+            gen, exp = a[i]
+            if gen != b[j][0]:
+                return _element(ctx, a[: i + 1] + b[j:])
+            exp += b[j][1]
+            if ctx.kind != FREE:
+                n = ctx.orders[gen]
+                if n is not None:
+                    exp %= n
+            if exp:
+                return _element(ctx, a[:i] + ((gen, exp),) + b[j + 1 :])
+            i -= 1
+            j += 1
+            if i < 0:
+                return _element(ctx, b[j:])
+            if j == len(b):
+                return _element(ctx, a[: i + 1])
 
     def inverse(self) -> "GroupElement":
         ctx = self.context
-        syl = tuple(
-            (g, _norm_exp(ctx, g, -e)) for g, e in reversed(self.syllables)
-        )
-        return GroupElement(ctx, syl)
+        if ctx.kind == FREE:
+            syl = tuple((g, -e) for g, e in reversed(self.syllables))
+        else:
+            orders = ctx.orders
+            syl = tuple(
+                (g, -e if orders[g] is None else orders[g] - e)
+                for g, e in reversed(self.syllables)
+            )
+        return _element(ctx, syl)
 
     def __pow__(self, k: int) -> "GroupElement":
         if k < 0:
@@ -204,12 +232,26 @@ class GroupElement:
         return f"<{self} in {self.context}>"
 
 
+_new_element = object.__new__
+_set_context = GroupElement.context.__set__
+_set_syllables = GroupElement.syllables.__set__
+
+
+def _element(ctx: PresentationContext, syllables: tuple) -> GroupElement:
+    """A GroupElement from syllables already in normal form, without the
+    dataclass `__init__`."""
+    el = _new_element(GroupElement)
+    _set_context(el, ctx)
+    _set_syllables(el, syllables)
+    return el
+
+
 def parse(ctx: PresentationContext, text: str) -> GroupElement:
     """Parse a compact letter string ("abA" = a * b * a^-1; "1" = identity)."""
     text = text.strip()
     if text in ("", "1"):
         return ctx.identity()
-    stack: list[list[int]] = []
+    stack: list[tuple[int, int]] = []
     for ch in text:
         if ch in _LOWER:
             gen, exp = _LOWER.index(ch), 1
@@ -220,7 +262,7 @@ def parse(ctx: PresentationContext, text: str) -> GroupElement:
         if gen >= ctx.num_generators:
             raise ValueError(f"letter {ch!r} outside context {ctx}")
         _push(ctx, stack, gen, exp)
-    return GroupElement(ctx, tuple((g, e) for g, e in stack))
+    return _element(ctx, tuple(stack))
 
 
 def random_reduced_word(
@@ -230,7 +272,7 @@ def random_reduced_word(
     group.  Each letter is drawn as rng.randrange(rank), rng.choice((1, -1))
     and redrawn while it would cancel the previous letter, so a seed fixes
     the word."""
-    stack: list[list[int]] = []
+    stack: list[tuple[int, int]] = []
     prev = None
     for _ in range(length):
         while True:
@@ -240,7 +282,7 @@ def random_reduced_word(
                 break
         _push(ctx, stack, g, s)
         prev = (g, s)
-    return GroupElement(ctx, tuple((g, e) for g, e in stack))
+    return _element(ctx, tuple(stack))
 
 
 def cyclic_reduce(a: GroupElement) -> tuple[GroupElement, GroupElement]:
@@ -253,7 +295,7 @@ def cyclic_reduce(a: GroupElement) -> tuple[GroupElement, GroupElement]:
     """
     ctx = a.context
     syl = [list(s) for s in a.syllables]
-    conj: list[list[int]] = []
+    conj: list[tuple[int, int]] = []
 
     if ctx.kind == FREE:
         while len(syl) >= 2:
@@ -279,15 +321,15 @@ def cyclic_reduce(a: GroupElement) -> tuple[GroupElement, GroupElement]:
             g, e_last = syl[-1]
             _push(ctx, conj, g, -e_last)
             syl.pop()
-            merged = _norm_exp(ctx, g, syl[0][1] + e_last)
+            merged = syl[0][1] + e_last
+            if ctx.orders[g] is not None:
+                merged %= ctx.orders[g]
             if merged == 0:
                 syl.pop(0)
             else:
                 syl[0][1] = merged
 
-    core = GroupElement(ctx, tuple((g, e) for g, e in syl))
-    conj_el = GroupElement(ctx, tuple((g, e) for g, e in conj))
-    return core, conj_el
+    return _element(ctx, tuple(map(tuple, syl))), _element(ctx, tuple(conj))
 
 
 def primitive_root(a: GroupElement) -> tuple[GroupElement, int]:
@@ -306,7 +348,7 @@ def primitive_root(a: GroupElement) -> tuple[GroupElement, int]:
     else:
         if core.syllable_count <= 1:
             return a, 1
-        items = list(core.syllables)
+        items = core.syllables
 
     n = len(items)
     for d in range(1, n + 1):
@@ -314,12 +356,12 @@ def primitive_root(a: GroupElement) -> tuple[GroupElement, int]:
             continue
         if items[:d] * (n // d) == items:
             if ctx.kind == FREE:
-                stack: list[list[int]] = []
-                for g, e in items[:d]:
-                    _push(ctx, stack, g, e)
-                root_core = GroupElement(ctx, tuple((g, e) for g, e in stack))
+                # a prefix of a reduced word: runs of one letter are its syllables
+                root_core = _element(
+                    ctx, tuple((g, s * len(list(run))) for (g, s), run in groupby(items[:d]))
+                )
             else:
-                root_core = GroupElement(ctx, tuple(items[:d]))
+                root_core = _element(ctx, items[:d])
             root = conj * root_core * conj.inverse()
             return root, n // d
     raise AssertionError("unreachable: d = n always matches")
@@ -355,7 +397,7 @@ class ElementSet:
     def __init__(self, context: PresentationContext, members: Iterable[GroupElement]):
         members = frozenset(members)
         for m in members:
-            if m.context != context:
+            if m.context is not context and m.context != context:
                 raise ValueError("element context mismatch")
         self.context = context
         self._members = members

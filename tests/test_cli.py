@@ -284,6 +284,30 @@ def test_graph_size_is_capped_by_the_budget(tmp_path, budget, code):
     assert (out / "report.json").exists() == (code == 0)
 
 
+@pytest.mark.parametrize(
+    "section, size",
+    [
+        ({"kind": "random", "count": 4, "max_length": 3}, 12),
+        ({"kind": "safin", "n_big": 4}, 10),
+    ],
+)
+@pytest.mark.parametrize("over", [1, 0])
+def test_set_size_is_capped_by_the_budget(tmp_path, section, size, over):
+    # count x max_length letters of a random set, 2 n_big + 2 elements of a
+    # Safin set: both are built before any enumeration budget applies
+    cfg = {
+        "command": "energy",
+        "space": {"backend": "free_group", "rank": 2},
+        "set": section,
+        "mode": {"name": "practical"},
+    }
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    code = main(["--config", str(p), "--out", str(out), "--budget", str(size - over)])
+    assert code == (3 if over else 0)
+    assert (out / "report.json").exists() == (not over)
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # sha256 of report.json and of sizes.csv (None where the command writes no
