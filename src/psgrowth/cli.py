@@ -273,6 +273,13 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     if size > budget:
         raise BudgetExceededError(f"building the set takes {size} > {budget} units")
     space = build_space(cfg)
+    if command == "treeapprox" and space.is_tree:
+        raise ConfigError("treeapprox needs the graph backend")
+    if command in ("period", "pingpong") and not space.is_tree:
+        raise ConfigError(
+            f"{command} needs a hyperbolic element, and a finite graph has no "
+            "hyperbolic element: every isometry of it has finite order"
+        )
     mode = build_mode(cfg)
     report: dict = {"config_echo": cfg, "command": command}
     exit_code = EXIT_OK
@@ -371,6 +378,10 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         root = parse(space.context, section["root"])
         t = parse(space.context, section["t"])
         powers = section.get("powers", [10, 20, 30])
+        # V's largest power is built whole before any enumeration budget applies
+        size = root.word_length() * max(abs(k) for k in powers) + t.word_length()
+        if size > budget:
+            raise BudgetExceededError(f"building V and t takes {size} > {budget} letters")
         V = ElementSet(space.context, [root**k for k in powers])
         cert = pingpong_certify(
             space,
@@ -387,8 +398,6 @@ def run_config(cfg: dict, out_dir: Path) -> int:
             exit_code = EXIT_BOUND_VIOLATION
 
     elif command == "treeapprox":
-        if space.is_tree:
-            raise ConfigError("treeapprox needs the graph backend")
         section = cfg.get("treeapprox", {})
         base = section.get("base", 0)
         targets = section.get("targets") or [v for v in range(space.n) if v != base]

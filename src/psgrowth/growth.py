@@ -309,7 +309,7 @@ def concentrated_pipeline(
     )
     min_step = min(space.dist(x0, p) for p in [vx0] + pts)
     alpha = min_step / 2 - max_prod - space.delta
-    ok = alpha > 9 * space.delta if space.delta > 0 else alpha > 0
+    ok = alpha > 9 * space.delta
 
     sizes = {}
     if ok:
@@ -467,8 +467,8 @@ def diffuse_pipeline(
 
     # coset handoff: with U2 inside E t, grow (V t')^n by ping pong.  When
     # the representative sits inside E itself, pick any s in U outside
-    # <root> (one exists, else the virtually-cyclic pre-check would have
-    # fired) and grow (U2 s)^n instead.
+    # <root> (only trees get here, and there one exists, else the
+    # virtually-cyclic pre-check would have fired) and grow (U2 s)^n instead.
     root = witness.coset_root
     rep = witness.coset_rep
     handoff: dict = {"coset_root": str(root), "rep": str(rep)}
@@ -480,7 +480,7 @@ def diffuse_pipeline(
     else:
         outside = [s for s in U if power_of(s, root) is None]
         if not outside:
-            return refuse("Failed", "no_element_outside_E")
+            raise RuntimeError(f"every element of U is a power of {root}")
         tail = outside[0]
         V_E = ElementSet(ctx, [v for v in U2 if not v.is_identity])
         handoff["tail_from_U"] = str(tail)

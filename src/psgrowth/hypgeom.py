@@ -2,10 +2,12 @@
 translation lengths and axes, invariant cylinders, and the small
 cancellation overlap bound.
 
-Everything is exact: lengths are Fractions, and on the tree backends the
-axis of a hyperbolic element is computed from the cyclic reduction of its
-word, never from floating point or sampling.  Translation lengths come from
-the backends themselves; the rest reads only `is_tree` and `delta`.
+Everything is exact: lengths are Fractions, and the axis of a hyperbolic
+element is computed from the cyclic reduction of its word, never from
+floating point or sampling.  Translation lengths come from the backends
+themselves, and only the tree backends have hyperbolic elements: every
+isometry of a finite graph has finite order, so the axis, cylinder and
+overlap tools refuse graph elements.  The rest reads only `delta`.
 """
 
 from __future__ import annotations
@@ -135,45 +137,21 @@ def translation_length(space: ActionSpace, g: GroupElement) -> AxisData:
 
 
 def axis_distance(space: ActionSpace, axis: AxisData, x) -> Fraction:
-    """Distance from a point to the axis of a hyperbolic isometry.
-
-    On trees this is exact: |gx - x| = [g] + 2 d(x, axis).  On finite
-    graphs it is the distance to the broken line L_g of
-    `invariant_line_points`."""
+    """Distance from a point to the axis of a hyperbolic tree isometry,
+    exactly: |gx - x| = [g] + 2 d(x, axis)."""
     if not axis.is_hyperbolic:
         raise ValueError("axis_distance needs a hyperbolic element")
-    if space.is_tree:
-        return (space.dist(x, space.act(axis.element, x)) - axis.translation_length) / 2
-    return min(space.dist(x, v) for v in invariant_line_points(space, axis))
-
-
-def invariant_line_points(space: ActionSpace, axis: AxisData) -> tuple:
-    """The broken line L_g through a minimal-displacement vertex: the union
-    of geodesics [g^n x, g^{n+1} x] over one full orbit period of x."""
-    g, x = axis.element, axis.min_point
-    pts: dict = {}
-    cur = x
-    seen = set()
-    while cur not in seen:
-        seen.add(cur)
-        nxt = space.act(g, cur)
-        for p in space.geodesic(cur, nxt):
-            pts[space.point_key(p)] = p
-        cur = nxt
-    return tuple(pts[k] for k in sorted(pts))
+    return (space.dist(x, space.act(axis.element, x)) - axis.translation_length) / 2
 
 
 def cylinder_membership(space: ActionSpace, x, e_root: GroupElement, margin) -> bool:
     """Whether x lies in the (margin-fattened) invariant cylinder of the
-    maximal loxodromic subgroup generated by e_root.
-
-    Trees (delta = 0): the cylinder is the axis itself; membership is exact.
-    Finite graphs: within margin + 100*delta of the broken line L_g.
-    """
+    maximal loxodromic subgroup generated by e_root.  On a tree the cylinder
+    is the axis itself, so membership is exact."""
     axis = translation_length(space, e_root)
     if not axis.is_hyperbolic:
         raise ValueError("cylinder of an elliptic element is undefined here")
-    return axis_distance(space, axis, x) <= Fraction(margin) + 100 * space.delta
+    return axis_distance(space, axis, x) <= Fraction(margin)
 
 
 def _same_maximal_loxodromic(a: GroupElement, b: GroupElement) -> bool:
@@ -202,51 +180,30 @@ class OverlapReport:
     diameter: Fraction
     paper_bound: Fraction
     within_bound: bool
-    margin: Fraction
     window_positions: int
 
 
 def small_cancellation_diameter(
-    space: ActionSpace, e_root: GroupElement, f_root: GroupElement, margin=0
+    space: ActionSpace, e_root: GroupElement, f_root: GroupElement
 ) -> OverlapReport:
     """Diameter of the overlap of the two invariant cylinders, against the
     bound 3*nu*max([E],[E']) + A*delta + 1684*delta.
 
-    Tree backends: margin must be 0; the overlap of the two axes is computed
-    exactly on an adaptive window and verified to lie strictly inside it.
-    Finite graphs: exhaustive over vertices with the given margin.
+    The cylinders are the two axes; their overlap is computed exactly on an
+    adaptive window and verified to lie strictly inside it.
     """
-    margin = Fraction(margin)
     consts = Constants.for_space(space)
     ax_e = translation_length(space, e_root)
     ax_f = translation_length(space, f_root)
     if not (ax_e.is_hyperbolic and ax_f.is_hyperbolic):
         raise ValueError("both roots must be hyperbolic")
-    if space.is_tree and _same_maximal_loxodromic(e_root, f_root):
+    if _same_maximal_loxodromic(e_root, f_root):
         raise ValueError("E and E' coincide (equal primitive roots)")
     bound = (
         3 * consts.nu * max(ax_e.translation_length, ax_f.translation_length)
         + consts.A * space.delta
         + 1684 * space.delta
     )
-
-    if not space.is_tree:
-        line_e = invariant_line_points(space, ax_e)
-        line_f = invariant_line_points(space, ax_f)
-        members = [
-            v
-            for v in range(space.n)
-            if min(space.dist(v, u) for u in line_e) <= margin
-            and min(space.dist(v, u) for u in line_f) <= margin
-        ]
-        diam = max(
-            (space.dist(u, v) for u in members for v in members), default=Fraction(0)
-        )
-        return OverlapReport(diam, bound, diam <= bound, margin, len(members))
-
-    if margin != 0:
-        raise ValueError("tree backends compute the exact axis overlap; margin must be 0")
-
     bound_steps = -int(-bound / space.rho0 // 1)  # ceil(bound / rho0)
     steps_e = len(ax_e.axis_segment) - 1
     steps_f = len(ax_f.axis_segment) - 1
@@ -258,10 +215,10 @@ def small_cancellation_diameter(
             if axis_distance(space, ax_f, axis_line_point(space, ax_e, i)) == 0
         ]
         if not on_both:
-            return OverlapReport(Fraction(0), bound, True, margin, 2 * window + 1)
+            return OverlapReport(Fraction(0), bound, True, 2 * window + 1)
         if on_both[0] > -window and on_both[-1] < window:
             diam = (on_both[-1] - on_both[0]) * space.rho0
-            return OverlapReport(diam, bound, diam <= bound, margin, 2 * window + 1)
+            return OverlapReport(diam, bound, diam <= bound, 2 * window + 1)
         window *= 2
     raise RuntimeError(
         "axis overlap kept touching the window boundary; are the roots equal?"

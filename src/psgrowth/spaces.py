@@ -51,9 +51,9 @@ def _check_steps(k: int, length: int) -> None:
 
 @dataclass(frozen=True)
 class AxisData:
-    """A translation length [g] with its witness: for a hyperbolic g, a
-    segment along its axis (trees) or the set C_g (finite graphs), and a
-    vertex of minimal displacement."""
+    """A translation length [g] with its witness: on a tree, a segment
+    along the axis of a hyperbolic g (or the fixed vertex of an elliptic
+    one), and a vertex of minimal displacement."""
 
     element: GroupElement
     translation_length: Fraction
@@ -534,12 +534,11 @@ class FiniteHypGraph(ActionSpace):
         return y
 
     def translation_length(self, g: GroupElement) -> AxisData:
-        """[g] as an exhaustive minimum over vertices; the segment is the
-        whole set C_g = {x : |gx - x| <= [g] + 8 delta}."""
-        disp = [(self.dist(v, self.act(g, v)), v) for v in range(self.n)]
-        length, argmin = min(disp)
-        cg = tuple(v for d, v in disp if d <= length + 8 * self.delta)
-        return AxisData(g, length, length > 0, cg, argmin)
+        """The minimum displacement as an exhaustive minimum over vertices,
+        with the least vertex attaining it.  No element is hyperbolic: g
+        permutes finitely many vertices, so it has finite order."""
+        length, argmin = min((self.dist(v, self.act(g, v)), v) for v in range(self.n))
+        return AxisData(g, length, False, min_point=argmin)
 
     def ball_size(self, x, r) -> int:
         k = self.steps(r)

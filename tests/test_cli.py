@@ -9,6 +9,7 @@ import pytest
 
 import psgrowth
 from psgrowth.cli import main
+from psgrowth.words import GroupElement
 
 GROWTH_CFG = {
     "command": "growth",
@@ -145,32 +146,70 @@ def test_pingpong_command(tmp_path):
 
 
 def test_pingpong_budget_exit_3(tmp_path):
-    # |(Vt)^2| = 9 distinct products outgrow a budget of 5
+    # V and t take 2*3 + 1 = 7 letters, within a budget of 8, but
+    # |(Vt)^2| = 9 distinct products outgrow it
+    section = dict(PINGPONG_CFG["pingpong"], powers=[1, 2, 3], a_value="1/10")
+    p = write_cfg(tmp_path, dict(PINGPONG_CFG, pingpong=section))
+    assert main(["--config", str(p), "--out", str(tmp_path / "o"), "--budget", "8"]) == 3
+
+
+@pytest.mark.parametrize("over", [1, 0])
+def test_pingpong_size_is_capped_by_the_budget(tmp_path, over):
+    # (ab)^30 and t = b take 2*30 + 1 = 61 letters, built before any
+    # enumeration budget applies
     p = write_cfg(tmp_path, PINGPONG_CFG)
-    assert main(["--config", str(p), "--out", str(tmp_path / "o"), "--budget", "5"]) == 3
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out), "--budget", str(61 - over)]) == (
+        3 if over else 0
+    )
+    assert (out / "report.json").exists() == (not over)
 
 
-def test_pingpong_on_a_graph_refuses_a_window_that_is_not_monotone(tmp_path):
-    # on C_9 with a rotation and a reflection, t = aab has no certified
-    # E-reduction at vertex 0: the run reports the refusal and exits 2
-    n = 9
-    cfg = {
-        "command": "pingpong",
-        "space": {
-            "backend": "graph",
-            "graph": {
-                "vertices": n,
-                "edges": [[i, (i + 1) % n] for i in range(n)],
-                "generators": [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]],
-            },
-        },
-        "pingpong": {"root": "a", "t": "aab", "powers": [1, 2], "n": 2},
-    }
+@pytest.mark.parametrize("power", [10**9, -(10**9)])
+def test_pingpong_power_of_a_billion_exits_3_unbuilt(tmp_path, monkeypatch, power):
+    # (ab)^(±10^9) would take 2*10^9 letters against the default budget of 10^7
+    def no_powers(self, k):
+        raise AssertionError(f"built a power {k}")
+
+    monkeypatch.setattr(GroupElement, "__pow__", no_powers)
+    cfg = json.loads((CONFIGS / "pingpong_f2.json").read_text())
+    cfg["pingpong"]["powers"] = [power]
     p = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
-    assert main(["--config", str(p), "--out", str(out)]) == 2
-    rep = json.loads((out / "report.json").read_text())
-    assert rep["pingpong"]["reason"] == "t_not_e_reduced"
+    assert main(["--config", str(p), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+C9 = {
+    "backend": "graph",
+    "graph": {
+        "vertices": 9,
+        "edges": [[i, (i + 1) % 9] for i in range(9)],
+        "generators": [[(i + 1) % 9 for i in range(9)], [(-i) % 9 for i in range(9)]],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("pingpong", {"pingpong": {"root": "a", "t": "aab", "powers": [1, 2], "n": 2}}),
+        ("period", {"set": {"elements": ["a", "aa"]}, "period": {"root": "a"}}),
+        ("period", {"set": {"elements": ["a", "aa"]}}),
+    ],
+    ids=["pingpong", "period_root", "biperiodic"],
+)
+def test_graph_has_no_hyperbolic_element(tmp_path, capsys, command, section):
+    # the rotation of C_9 moves every vertex but has order 9, so neither
+    # command has an element to work with
+    cfg = {"command": command, "space": C9} | section
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "a finite graph has no hyperbolic element" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
 
 
 PATH_GRAPH = {

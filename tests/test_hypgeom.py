@@ -16,7 +16,7 @@ from psgrowth.hypgeom import (
 from psgrowth.spaces import FiniteHypGraph, cycle_graph, random_connected_graph
 from psgrowth.words import random_reduced_word
 
-from conftest import sun_graph, w
+from conftest import w
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,14 @@ def test_translation_length_graph():
     rot = c6.context.generator(0)
     ax = translation_length(c6, rot)
     assert ax.translation_length == 1
-    assert len(ax.axis_segment) == 6  # every vertex displaced equally
+    assert not ax.is_hyperbolic
+    # a rotation of C_8 moves every vertex, but it has order 8: neither it
+    # nor its eighth power, which fixes everything, is hyperbolic
+    c8 = cycle_graph(8)
+    a = c8.context.generator(0)
+    for g, length in ((a, 1), (a**8, 0)):
+        ax = translation_length(c8, g)
+        assert (ax.translation_length, ax.is_hyperbolic) == (length, False)
 
 
 def test_midpoint_lemma_trees(f2_tree):
@@ -369,44 +376,6 @@ def test_stability_of_quasi_geodesics_22delta():
             assert haus <= 22 * g.delta, (g.edges, x, y, m)
             checked += 1
     assert checked > 30
-
-
-def test_invariant_line_contains_cg_30delta():
-    # C_g is within 30 delta of the broken line L_g through a minimal
-    # displacement vertex
-    from psgrowth.hypgeom import invariant_line_points
-
-    for n in (5, 6, 8, 9):
-        g = cycle_graph(n)
-        rot = g.context.generator(0)
-        ax = translation_length(g, rot)
-        line = invariant_line_points(g, ax)
-        for v in ax.axis_segment:
-            assert min(g.dist(v, p) for p in line) <= 30 * g.delta
-
-
-def test_axis_distance_on_a_graph_is_the_distance_to_the_line():
-    # the sun graph: C_8 with one pendant vertex per cycle vertex, the
-    # rotation acting on both.  Its line L_g is the cycle, so every pendant
-    # is one edge off it, although all of them lie in C_g (displacement 3
-    # against [g] + 8 delta = 17)
-    from psgrowth.hypgeom import invariant_line_points
-    from psgrowth.periodicity import is_periodic
-
-    n = 8
-    sun = sun_graph(n)
-    assert sun.delta == 2
-    rot = sun.context.generator(0)
-    ax = translation_length(sun, rot)
-    line = invariant_line_points(sun, ax)
-    for v in range(2 * n):
-        d = axis_distance(sun, ax, v)
-        assert d == min(sun.dist(v, p) for p in line)
-        assert d == (0 if v < n else 1)
-    # the periodicity check from a pendant base point reads the same distance
-    check = is_periodic(sun, rot**2, rot, n).checks[0]
-    assert check.name == "x0_in_cylinder"
-    assert check.lhs == 1
 
 
 def test_elliptic_displacement_bound_wheel():

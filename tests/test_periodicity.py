@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psgrowth.hypgeom import translation_length
 from psgrowth.periodicity import (
@@ -9,14 +12,13 @@ from psgrowth.periodicity import (
     PeriodCertificate,
     Refusal,
     e_reduce,
-    is_e_reduced,
     extract_period_from_equations,
     is_biperiodic,
     is_periodic,
     pingpong_certify,
     separate,
 )
-from psgrowth.spaces import FiniteHypGraph
+from psgrowth.spaces import FiniteHypGraph, cycle_graph, random_connected_graph
 from psgrowth.words import ElementSet, power_of, primitive_root, random_reduced_word
 
 from conftest import digest, w
@@ -177,28 +179,6 @@ def path_with_reflection(n):
     return FiniteHypGraph(n, [(i, i + 1) for i in range(n - 1)], [[n - 1 - i for i in range(n)]])
 
 
-def thick_path(m):
-    """Levels 0..m, each a clique joined completely to the next: triangles
-    at both ends, pairs between (delta = 1/2).  Generators a and b both act
-    as the rotation of every level, which moves every vertex, and c as the
-    reflection of the levels."""
-    sizes = [3] + [2] * (m - 1) + [3]
-    levels, n = [], 0
-    for size in sizes:
-        levels.append(list(range(n, n + size)))
-        n += size
-    edges = []
-    for i, level in enumerate(levels):
-        edges += [(p, q) for p in level for q in level if p < q]
-        edges += [(p, q) for p in level for q in (levels[i + 1] if i < m else [])]
-    rotation, reflection = [0] * n, [0] * n
-    for i, level in enumerate(levels):
-        for j, p in enumerate(level):
-            rotation[p] = level[(j + 1) % len(level)]
-            reflection[p] = levels[m - i][j]
-    return FiniteHypGraph(n, edges, [rotation, rotation, reflection])
-
-
 def outer_equations(space, outers, v_text, g_text):
     """(u, v, v^-1 u^-1 g) for each outer element u: all products equal g."""
     v, g = w(space, v_text), w(space, g_text)
@@ -212,10 +192,6 @@ def extraction_case(f2_tree, case):
         # aa acts trivially on the path, so its connector fixes every vertex
         space = path_with_reflection(6)
         return space, outer_equations(space, ["aa", ""], "a", "a"), 0, {}
-    if case == "ConnectorsInDifferentSubgroups":
-        # the connectors a and b act alike but have different roots
-        space = thick_path(14)
-        return space, outer_equations(space, ["", "a", "ab"], "c", "c"), 0, {}
     built = {
         "TooFewEquations": ([1], 200, 300),
         "SymmetryBoundViolated": ([1, 30], 3, 40),
@@ -243,7 +219,8 @@ def extraction_case(f2_tree, case):
 
 
 # every refusal that an input reaches, and a certified result, pinned by a
-# digest of as_dict(); ReducedProductBoundsFailed is left out (see CHANGES.md)
+# digest of as_dict(); no input reaches the two rechecks that raise (see
+# test_extraction_rechecks_raise)
 EXTRACTION_EXITS = {
     "TooFewEquations": "128e5737263a55f8",
     "DifferentMiddleElements": "6a149d42e3ee1a46",
@@ -254,7 +231,6 @@ EXTRACTION_EXITS = {
     "DuplicateOuterElements": "7766c79b4f218590",
     "PaperHypothesesUnmet": "c545799c8523fae4",
     "ConnectorNotHyperbolic": "5e2b265c4821e328",
-    "ConnectorsInDifferentSubgroups": "deae4c9203d35a78",
     "PeriodicityThresholdFailed": "e72358787e8f514d",
     "certified": "2408c8885a627848",
 }
@@ -269,6 +245,24 @@ def test_every_extraction_exit(f2_tree, case):
     else:
         assert isinstance(res, Refusal) and res.reason == case
     assert digest(res.as_dict()) == EXTRACTION_EXITS[case]
+
+
+@pytest.mark.parametrize(
+    "patched, value, message",
+    [
+        ("primitive_root", lambda h: (h, 1), "different roots"),
+        ("axis_distance", lambda space, ax, x: 1, "reduced-product bounds failed"),
+    ],
+    ids=["common_root", "reduced_product_bounds"],
+)
+def test_extraction_rechecks_raise(f2_tree, monkeypatch, patched, value, message):
+    # on a tree the connectors share a root and the reduced-product bounds
+    # hold, so only a broken helper can fail either recheck, which then
+    # raises instead of refusing or certifying
+    eqs, _, _ = build_equations(f2_tree, "ab", [1, 2, 4], 200, 300)
+    monkeypatch.setattr(f"psgrowth.periodicity.{patched}", value)
+    with pytest.raises(RuntimeError, match=message):
+        extract_period_from_equations(f2_tree, eqs, f2_tree.basepoint())
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +317,22 @@ def test_e_reduce_examples(f2_tree):
     assert isinstance(res, Refusal) and res.reason == "InE"
 
 
+def test_e_reduce_window_check_raises(f2_tree, monkeypatch):
+    # displacement is unimodal in each power on a tree, so only a broken
+    # metric makes the window boundary decrease, and e_reduce then raises
+    one, a, b = f2_tree.basepoint(), w(f2_tree, "a"), w(f2_tree, "b")
+    tree_dist = f2_tree.dist
+
+    def dist(x, y):  # 2 short at every word that starts with a^-3
+        return tree_dist(x, y) - 2 * (y.syllables[:1] == ((0, -3),))
+
+    monkeypatch.setattr(f2_tree, "dist", dist)
+    # the window is |p|, |q| <= 3, the minimum |b| = 1 lies inside it, and
+    # the boundary point a^-3 b (2) is closer than a^-2 b (3)
+    with pytest.raises(RuntimeError, match="window certified insufficient"):
+        e_reduce(f2_tree, b, a, one)
+
+
 def test_e_reduce_minimality_random(f2_tree):
     rng = random.Random(72)
     one = f2_tree.basepoint()
@@ -363,29 +373,57 @@ def test_e_reduce_lemma_products(f2_tree):
                     )
 
 
-def dihedral_cycle(n):
-    """C_n with the rotation a and the reflection b as generators."""
-    return FiniteHypGraph(
-        n,
-        [(i, (i + 1) % n) for i in range(n)],
-        [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]],
-    )
+def automorphisms(space):
+    """Every vertex permutation of a small graph that preserves adjacency."""
+    edges = set(space.edges)
+    return [
+        p
+        for p in itertools.permutations(range(space.n))
+        if all((min(p[i], p[j]), max(p[i], p[j])) in edges for i, j in space.edges)
+    ]
 
 
-def test_e_reduce_refuses_a_window_that_is_not_monotone():
-    # displacement need not be unimodal in the powers on a graph: on C_9
-    # the window boundary decreases at these base points, which e_reduce
-    # refuses and the ping-pong certificate reports as t not E-reduced
-    c9 = dihedral_cycle(9)
-    a, b = w(c9, "a"), w(c9, "b")
-    for x0 in (1, 2, 3, 6, 7, 8):
-        res = e_reduce(c9, b, a, x0)
-        assert isinstance(res, Refusal) and res.reason == "WindowNotMonotone"
-        assert res.detail == "b"
-        assert not is_e_reduced(c9, b, a, x0)
-    assert e_reduce(c9, b, a, 0) == (c9.context.identity(), b, c9.context.identity())
-    cert = pingpong_certify(c9, ElementSet(c9.context, [a, a * a]), a, w(c9, "aab"), 2, 0)
-    assert (cert.certified, cert.reason) == (False, "t_not_e_reduced")
+CYCLES = {n: cycle_graph(n) for n in range(3, 13)}
+
+
+@st.composite
+def graphs_with_an_action(draw):
+    """C_3..C_12 with the rotation, or a random connected graph on at most
+    6 vertices with one or two of its automorphisms (often only the
+    identity) as generators."""
+    if draw(st.booleans()):
+        return CYCLES[draw(st.integers(3, 12))]
+    g = random_connected_graph(random.Random(draw(st.integers(0, 10**6))), n_max=6)
+    gens = draw(st.lists(st.sampled_from(automorphisms(g)), min_size=1, max_size=2))
+    return FiniteHypGraph(g.n, g.edges, gens)
+
+
+LETTERS = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(space=graphs_with_an_action(), root_letters=LETTERS, t_letters=LETTERS, x0=st.integers(0, 2))
+def test_no_graph_element_is_hyperbolic(space, root_letters, t_letters, x0):
+    # every element permutes finitely many vertices, so it has finite order;
+    # the periodicity tools refuse any graph element as a root
+    ctx = space.context
+
+    def word(letters):
+        gens = (ctx.generator(i % ctx.rank) ** s for i, s in letters)
+        return math.prod(gens, start=ctx.identity())
+
+    root, t = word(root_letters), word(t_letters)
+    assert not translation_length(space, root).is_hyperbolic
+    assert not translation_length(space, t).is_hyperbolic
+    assume(not root.is_identity)
+    V = ElementSet(ctx, [root, root * root])
+    for refused in (
+        lambda: is_periodic(space, t, root, x0),
+        lambda: e_reduce(space, t, root, x0),
+        lambda: pingpong_certify(space, V, root, t, 2, x0),
+    ):
+        with pytest.raises(ValueError, match="E_root must be hyperbolic"):
+            refused()
 
 
 # ---------------------------------------------------------------------------

@@ -523,6 +523,36 @@ def test_no_unused_imports_in_the_library():
     assert found == {}
 
 
+def is_tree_reads(source: str) -> list:
+    """Line numbers that name `is_tree`: as an attribute, a name or a string
+    (as in `getattr(space, "is_tree")`)."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if (isinstance(n, ast.Attribute) and n.attr == "is_tree")
+        or (isinstance(n, ast.Name) and n.id == "is_tree")
+        or (isinstance(n, ast.Constant) and n.value == "is_tree")
+    )
+
+
+def test_is_tree_reads_finder():
+    src = "if space.is_tree:\n    pass\nx = space.delta\ngetattr(s, 'is_tree')\n"
+    assert is_tree_reads(src) == [1, 4]
+
+
+def test_geometry_toolbox_does_not_ask_for_a_tree():
+    # only trees have hyperbolic elements, and `translation_length` already
+    # says so; the axis, cylinder, period and ping-pong tools keep one rule
+    # for every backend
+    package = Path(psgrowth.__file__).parent
+    found = {
+        name: lines
+        for name in ("hypgeom.py", "periodicity.py")
+        if (lines := is_tree_reads((package / name).read_text()))
+    }
+    assert found == {}
+
+
 def test_is_tree_is_a_class_capability():
     assert FreeGroupTree.is_tree and FreeProductTree.is_tree
     assert not FiniteHypGraph.is_tree
