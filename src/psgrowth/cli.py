@@ -264,7 +264,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     seed = cfg.get("seed", 0)
     budget = cfg.get("budget", 10_000_000)
     if cfg["space"]["backend"] == "graph" and "graph" in cfg["space"]:
-        # the graph's four-point delta takes every vertex quadruple at once
+        # the four-point delta scans every vertex quadruple: n^4 time
         n = cfg["space"]["graph"]["vertices"]
         if n**4 > budget:
             raise BudgetExceededError(f"{n} vertices make {n**4} quadruples")

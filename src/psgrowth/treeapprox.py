@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .exactmath import within_log_bound
 from .spaces import ActionSpace
 
@@ -137,21 +139,15 @@ def approximate_tree(space: ActionSpace, x0, targets: Sequence) -> Approximation
         [space.gromov_product(targets[i], targets[j], x0) for j in range(n)]
         for i in range(n)
     ]
-    div = [[prod[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        div[i][i] = _INF
-    # maximin (widest-path) closure over chains of legs
+    # maximin (widest-path) closure over chains of legs, on the ranks of the
+    # distinct products: it only takes mins and maxes, so ranks decode exactly
+    values = sorted({p for row in prod for p in row}) + [_INF]
+    rank = {v: r for r, v in enumerate(values)}
+    R = np.array([[rank[p] for p in row] for row in prod], dtype=np.int64)
+    np.fill_diagonal(R, len(values) - 1)
     for k in range(n):
-        for i in range(n):
-            dik = div[i][k]
-            if dik == 0:
-                continue
-            row_k = div[k]
-            row_i = div[i]
-            for j in range(n):
-                m = dik if dik < row_k[j] else row_k[j]
-                if m > row_i[j]:
-                    row_i[j] = m
+        np.maximum(R, np.minimum(R[:, k, None], R[None, k, :]), out=R)
+    div = [[values[r] for r in row] for row in R.tolist()]
 
     samples: list = []
     assigned: dict = {}

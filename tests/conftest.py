@@ -31,6 +31,12 @@ def w(space_or_ctx, text):
     return parse(ctx, text)
 
 
+def tree_vertex(tree, text, tag):
+    """The vertex of a word (and, on the Bass-Serre tree, a tag)."""
+    g = w(tree, text)
+    return g if isinstance(tree, FreeGroupTree) else tree.vertex(g, tag)
+
+
 def digest(report: dict) -> str:
     """A short sha256 of a report's canonical JSON, to pin it in full."""
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]

@@ -306,8 +306,8 @@ def test_treeapprox_command(tmp_path):
 
 @pytest.mark.parametrize("budget, code", [(14640, 3), (14641, 0)])
 def test_graph_size_is_capped_by_the_budget(tmp_path, budget, code):
-    # the four-point delta of an n-vertex graph takes all n^4 quadruples at
-    # once, so the run's budget caps n^4 before the graph is built
+    # the four-point delta of an n-vertex graph scans all n^4 quadruples, so
+    # the run's budget caps n^4 (its time) before the graph is built
     n = 11
     cfg = {
         "command": "treeapprox",

@@ -1,9 +1,11 @@
 import ast
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from psgrowth.spaces import (
 )
 from psgrowth.words import random_reduced_word
 
-from conftest import TREES, sun_graph, w
+from conftest import TREES, sun_graph, tree_vertex, w
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +255,6 @@ def test_product_tree_rejects_more_factors():
 WORD = st.text(alphabet="abAB", max_size=9)
 
 
-def tree_vertex(tree, text, tag):
-    """The vertex of a word (and, on the Bass-Serre tree, a tag)."""
-    g = w(tree, text)
-    return g if isinstance(tree, FreeGroupTree) else tree.vertex(g, tag)
-
-
 # a cycle, a path, and the sun graph with its pendants off the cycle
 POINT_AT_GRAPHS = {
     "C7": cycle_graph(7),
@@ -331,21 +327,113 @@ def test_orbit_labels_count_shared_edges(tree, x_text, x_tag, g_text, h_text):
 
 
 def oracle_four_point_delta(space: FiniteHypGraph) -> Fraction:
-    """Direct scan of the Gromov-product four-point condition."""
-    best = Fraction(0)
+    """Direct scan of the Gromov-product four-point condition, counted in
+    half edges so the triple loop runs on integers."""
     V = range(space.n)
+    best = 0
     for x in V:
-        gp = {}
-        for p in V:
-            for q in V:
-                gp[p, q] = space.gromov_product(p, q, x)
+        gp = [[2 * space.gromov_product(p, q, x) / space.rho0 for q in V] for p in V]
+        assert all(g.denominator == 1 for row in gp for g in row)
+        gp = [[int(g) for g in row] for row in gp]
         for p in V:
             for q in V:
                 for r in V:
-                    defect = min(gp[p, q], gp[q, r]) - gp[p, r]
+                    defect = min(gp[p][q], gp[q][r]) - gp[p][r]
                     if defect > best:
                         best = defect
-    return best
+    return Fraction(best, 2) * space.rho0
+
+
+def pairing_sums_delta(hops, rho0) -> Fraction:
+    """All quadruples at once: half the gap between the two largest of the
+    three pairing sums d(w,x) + d(y,z), d(w,y) + d(x,z), d(w,z) + d(x,y)."""
+    D = np.asarray(hops, dtype=np.int64)
+    s1 = D[:, :, None, None] + D[None, None, :, :]
+    s2 = D[:, None, :, None] + D[None, :, None, :]
+    s3 = D[:, None, None, :] + D[None, :, :, None]
+    stack = np.stack([s1, s2, s3], axis=-1)
+    stack.sort(axis=-1)
+    return Fraction(int((stack[..., 2] - stack[..., 1]).max()), 2) * rho0
+
+
+def floyd_warshall_hops(n, edges):
+    big = n + 1
+    d = [[0 if i == j else big for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        d[i][j] = d[j][i] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return d
+
+
+def assert_delta_matches_oracles(n, edges, rho0):
+    g = FiniteHypGraph(n, edges, rho0=rho0)
+    hops = floyd_warshall_hops(n, edges)
+    assert [[g.dist(i, j) for j in range(n)] for i in range(n)] == [
+        [h * g.rho0 for h in row] for row in hops
+    ]
+    assert g.delta == pairing_sums_delta(hops, g.rho0) == oracle_four_point_delta(g)
+    return g
+
+
+@st.composite
+def connected_graphs(draw, n_max=20):
+    """A random spanning tree on n <= n_max vertices plus random chords."""
+    n = draw(st.integers(1, n_max))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        chords = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=2 * n))
+        edges |= {(min(e), max(e)) for e in chords}
+    return n, sorted(edges)
+
+
+RHO0S = (1, Fraction(3, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=connected_graphs(), rho0=st.sampled_from(RHO0S))
+def test_random_graph_delta_matches_both_oracles(graph, rho0):
+    assert_delta_matches_oracles(*graph, rho0)
+
+
+def _cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+DELTA_FAMILIES = {
+    "single": (1, []),
+    "edge": (2, [(0, 1)]),
+    **{f"P{n}": (n, [(i, i + 1) for i in range(n - 1)]) for n in (3, 6, 10)},
+    **{f"star{n}": (n, [(0, i) for i in range(1, n)]) for n in (4, 9)},
+    **{f"K{n}": (n, list(itertools.combinations(range(n), 2))) for n in (3, 4, 7)},
+    **{f"C{n}": (n, _cycle(n)) for n in (3, 4, 5, 6, 7, 8, 9, 12, 13)},
+}
+
+
+@pytest.mark.parametrize("rho0", RHO0S)
+@pytest.mark.parametrize("family", sorted(DELTA_FAMILIES))
+def test_graph_family_delta_matches_both_oracles(family, rho0):
+    g = assert_delta_matches_oracles(*DELTA_FAMILIES[family], rho0)
+    if family.startswith(("single", "edge", "P", "star", "K")):
+        assert g.delta == 0
+
+
+def test_delta_memory_is_cubic():
+    # the n^4 quadruple scan holds one n^3 int32 array at a time, so the
+    # 100-cycle peaks near 4 MB where all quadruples at once took gigabytes
+    n = 100
+    tracemalloc.start()
+    try:
+        c = cycle_graph(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.delta == n // 4  # C_n, n = 0 mod 4: a square of side n/4
+    assert peak < 8 * n**3 + 2**20
 
 
 def test_cycle_graph_examples():
@@ -395,8 +483,9 @@ def test_graph_rejects_bad_permutation():
 
 
 def test_graph_disconnected_rejected():
-    with pytest.raises(ValueError):
-        FiniteHypGraph(4, [(0, 1), (2, 3)])
+    for n, edges in ((2, []), (4, [(0, 1), (2, 3)]), (5, [(0, 1), (1, 2), (2, 3)])):
+        with pytest.raises(ValueError, match="disconnected"):
+            FiniteHypGraph(n, edges)
 
 
 def test_load_graph_schema():

@@ -1,13 +1,16 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from psgrowth.treeapprox import TreePoint, approximate_tree, distortion_report
+from psgrowth.treeapprox import _INF, TreePoint, approximate_tree, distortion_report
 from psgrowth.spaces import cycle_graph, random_connected_graph
 from psgrowth.words import random_reduced_word
 
-from conftest import w
+from conftest import TREES, digest, tree_vertex, w
 
 
 def test_tree_input_zero_distortion(f2_tree):
@@ -123,3 +126,81 @@ def test_export_structure(f2_tree):
 def test_no_targets_rejected(f2_tree):
     with pytest.raises(ValueError):
         approximate_tree(f2_tree, f2_tree.basepoint(), [])
+
+
+# ---------------------------------------------------------------------------
+# the maximin closure against the Fraction triple loop
+
+
+def oracle_closure(space, x0, targets) -> list:
+    """Widest-path closure of the Gromov products (t_i, t_j)_{x0}, by the
+    triple loop over Fractions, with _INF on the diagonal."""
+    n = len(targets)
+    div = [[space.gromov_product(s, t, x0) for t in targets] for s in targets]
+    for i in range(n):
+        div[i][i] = _INF
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                div[i][j] = max(div[i][j], min(div[i][k], div[k][j]))
+    return div
+
+
+def assert_closure_matches_oracle(space, x0, targets):
+    approx = approximate_tree(space, x0, targets)
+    want = oracle_closure(space, x0, targets)
+    assert approx.div == want
+    assert all(approx.div[i][i] == _INF for i in range(len(targets)))
+    assert approx.export() == replace(approx, div=want).export()
+    return approx
+
+
+def graph_cases():
+    """Seeded graphs, base points and targets; repeated targets and the
+    base point among them give tied and zero products."""
+    rng = random.Random(55)
+    for _ in range(20):
+        g = random_connected_graph(rng, n_max=16)
+        x0 = rng.randrange(g.n)
+        targets = [rng.randrange(g.n) for _ in range(rng.randint(1, 10))]
+        yield g, x0, targets + [x0, targets[0]]
+
+
+def test_graph_closure_matches_oracle():
+    for g, x0, targets in graph_cases():
+        assert_closure_matches_oracle(g, x0, targets)
+
+
+POINT = st.tuples(st.text(alphabet="abAB", max_size=7), st.integers(0, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tree=st.sampled_from(sorted(TREES)),
+    x0=POINT,
+    targets=st.lists(POINT, min_size=1, max_size=8),
+)
+# a repeated target (tied products) and targets through x0 (zero products)
+@example(tree="F2", x0=("", 0), targets=[("ab", 0), ("ab", 0), ("aB", 0), ("b", 0), ("", 0)])
+@example(tree="Z5*Z7", x0=("a", 1), targets=[("ab", 0), ("ab", 1), ("b", 1), ("a", 1)])
+def test_tree_closure_matches_oracle(tree, x0, targets):
+    space = TREES[tree]
+    assert_closure_matches_oracle(
+        space, tree_vertex(space, *x0), [tree_vertex(space, *t) for t in targets]
+    )
+
+
+def test_exports_are_pinned():
+    # the trees exported for fixed graph and tree inputs, pinned in full
+    exports = [approximate_tree(*case).export() for case in graph_cases()]
+    rng = random.Random(56)
+    for tree in sorted(TREES):
+        space = TREES[tree]
+        for _ in range(5):
+            texts = [
+                "".join(rng.choice("abAB") for _ in range(rng.randint(0, 6)))
+                for _ in range(6)
+            ]
+            points = [tree_vertex(space, t, rng.randint(0, 1)) for t in texts]
+            exports.append(approximate_tree(space, points[0], points[1:]).export())
+    assert digest({"exports": exports}) == "980f2275a1a4b646"
