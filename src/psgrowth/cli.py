@@ -149,6 +149,9 @@ CONFIG_SCHEMA = {
     },
 }
 
+# built once: `jsonschema.validate` would check the schema itself on every call
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 class ConfigError(Exception):
     pass
@@ -438,10 +441,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        print(f"config error: {exc.message}", file=sys.stderr)
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        print(f"config error: {error.message}", file=sys.stderr)
         return EXIT_CONFIG
 
     if args.mode:

@@ -34,6 +34,7 @@ from .words import (
     BudgetExceededError,
     ElementSet,
     GroupElement,
+    _element,
     power_of,
     primitive_root,
     product_level,
@@ -156,12 +157,12 @@ def growth_report(
     bounds = {}
     violations = []
     truncated = False
-    factors = list(U)
+    factors = [u.syllables for u in U]
     current = set(factors)
     for k in range(1, n_max + 1):
         if k > 1:
             try:
-                current = product_level(current, factors, budget)
+                current = product_level(U.context.orders, current, factors, budget)
             except BudgetExceededError:
                 truncated = True
                 break
@@ -313,17 +314,17 @@ def concentrated_pipeline(
 
     sizes = {}
     if ok:
-        words = [u * v for u in u2]
+        words = [(u * v).syllables for u in u2]
         current = set(words)
         sizes[1] = len(current)
         k = 1
         while k < (n_max + 1) // 2 + 1 and len(current) * len(words) <= budget:
-            current = product_level(current, words, budget)
+            current = product_level(U.context.orders, current, words, budget)
             k += 1
             sizes[k] = len(current)
         expected = {kk: len(u2) ** kk for kk in sizes}
         if sizes != expected:
-            raise AssertionError(
+            raise RuntimeError(
                 f"concentrated chain certified but counts differ: {sizes} vs {expected}"
             )
     return ConcentratedOutcome(
@@ -425,8 +426,13 @@ def diffuse_pipeline(
 
     l = (n + 1) // 2
     W = U1
-    for _ in range(l - 2):
-        W = ElementSet(ctx, product_level(product_level(W, U2, budget), U1, budget))
+    if l > 2:
+        u1 = [u.syllables for u in U1]
+        u2 = [u.syllables for u in U2]
+        w = set(u1)
+        for _ in range(l - 2):
+            w = product_level(ctx.orders, product_level(ctx.orders, w, u2, budget), u1, budget)
+        W = ElementSet(ctx, (_element(ctx, s) for s in w))
 
     consts = AlphaConstants.for_space(space)
     counting = known["counting"] = {}

@@ -456,16 +456,16 @@ def pingpong_certify(
         Check("chain_margin", max_product, min_step / 2, certified)
     )
 
-    words = [v * t for v in members]
+    words = [(v * t).syllables for v in members]
     level = set(words)
     counts = {1: len(level)}
     for k in range(2, n + 1):
-        level = product_level(level, words, budget)
+        level = product_level(t.context.orders, level, words, budget)
         counts[k] = len(level)
     expected = {k: len(members) ** k for k in counts}
     counts_ok = counts == expected
     if certified and not counts_ok:
-        raise AssertionError(
+        raise RuntimeError(
             f"certified chain but counts disagree: {counts} vs {expected}"
         )
     return PingPongCertificate(

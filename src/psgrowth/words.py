@@ -5,7 +5,8 @@ random reduced words.
 Elements are stored in canonical normal form as run-length syllable tuples,
 so structural equality coincides with equality in the group.  A product
 cancels and merges only where its two normal forms meet and splices the
-rest, sharing the factors' syllable tuples.  Serialization uses compact
+rest, sharing the factors' syllable tuples; product-set levels are sets of
+such tuples.  Serialization uses compact
 letter strings: generators are ``a..z``, inverses ``A..Z``
 ("abA" = a * b * a^-1).
 """
@@ -129,30 +130,7 @@ class GroupElement:
         ctx = self.context
         if other.context is not ctx and other.context != ctx:
             raise ValueError("context mismatch")
-        a, b = self.syllables, other.syllables
-        if not a:
-            return other
-        if not b:
-            return self
-        # cancel across the junction: a[i] meets b[j]
-        i, j = len(a) - 1, 0
-        while True:
-            gen, exp = a[i]
-            if gen != b[j][0]:
-                return _element(ctx, a[: i + 1] + b[j:])
-            exp += b[j][1]
-            if ctx.kind != FREE:
-                n = ctx.orders[gen]
-                if n is not None:
-                    exp %= n
-            if exp:
-                return _element(ctx, a[:i] + ((gen, exp),) + b[j + 1 :])
-            i -= 1
-            j += 1
-            if i < 0:
-                return _element(ctx, b[j:])
-            if j == len(b):
-                return _element(ctx, a[: i + 1])
+        return _element(ctx, _join(ctx.orders, self.syllables, other.syllables))
 
     def inverse(self) -> "GroupElement":
         ctx = self.context
@@ -244,6 +222,38 @@ def _element(ctx: PresentationContext, syllables: tuple) -> GroupElement:
     _set_context(el, ctx)
     _set_syllables(el, syllables)
     return el
+
+
+def _join(orders: tuple, a: tuple, b: tuple) -> tuple:
+    """The syllables of the product of the normal forms `a` and `b`.
+
+    This is the package's one cancellation rule: it cancels and merges only
+    where the two normal forms meet and splices the rest, sharing their
+    syllables.  `orders` are the context's factor orders; a free group has
+    none, and its exponents never wrap."""
+    if not a:
+        return b
+    if not b:
+        return a
+    # cancel across the junction: a[i] meets b[j]
+    i, j = len(a) - 1, 0
+    while True:
+        gen, exp = a[i]
+        if gen != b[j][0]:
+            return a[: i + 1] + b[j:]
+        exp += b[j][1]
+        if orders:
+            n = orders[gen]
+            if n is not None:
+                exp %= n
+        if exp:
+            return a[:i] + ((gen, exp),) + b[j + 1 :]
+        i -= 1
+        j += 1
+        if i < 0:
+            return b[j:]
+        if j == len(b):
+            return a[: i + 1]
 
 
 def parse(ctx: PresentationContext, text: str) -> GroupElement:
@@ -364,7 +374,7 @@ def primitive_root(a: GroupElement) -> tuple[GroupElement, int]:
                 root_core = _element(ctx, items[:d])
             root = conj * root_core * conj.inverse()
             return root, n // d
-    raise AssertionError("unreachable: d = n always matches")
+    raise RuntimeError("unreachable: d = n always matches")
 
 
 def power_of(a: GroupElement, root: GroupElement) -> Optional[int]:
@@ -439,41 +449,51 @@ class ElementSet:
 
 
 def product_level(
-    current: Iterable[GroupElement], factors: Sequence[GroupElement], budget: int
-) -> set[GroupElement]:
-    """The distinct products x * y for x in `current` and y in `factors`.
+    orders: tuple, current: Iterable[tuple], factors: Sequence[tuple], budget: int
+) -> set[tuple]:
+    """The distinct products a * b for a in `current` and b in `factors`, all
+    given and returned as normal-form syllable tuples over a context with
+    these `orders`.
 
     This is the package's one product-set loop: every level of every
-    enumeration goes through it.  Raises BudgetExceededError once there are
-    more than `budget` distinct products.
+    enumeration goes through it, and callers build GroupElements only for
+    the levels they keep.  A b whose first generator differs from a's last
+    one is spliced on as a + b; the rest meet in `_join`.  Raises
+    BudgetExceededError once there are more than `budget` distinct
+    products.
     """
-    out: set[GroupElement] = set()
-    for x in current:
-        for y in factors:
-            out.add(x * y)
-            if len(out) > budget:
-                raise BudgetExceededError(
-                    f"product set exceeded budget of {budget} elements"
-                )
+    # per last generator of a: the factors spliced on, and those that meet it
+    gens = {b[0][0] for b in factors if b}
+    splice = {g: [b for b in factors if not b or b[0][0] != g] for g in gens}
+    meet = {g: [b for b in factors if b and b[0][0] == g] for g in gens}
+    out: set[tuple] = set()
+    for a in current:
+        g = a[-1][0] if a else None
+        out.update(map(a.__add__, splice.get(g, factors)))
+        for b in meet.get(g, ()):
+            out.add(_join(orders, a, b))
+        if len(out) > budget:
+            raise BudgetExceededError(f"product set exceeded budget of {budget} elements")
     return out
 
 
 def product_set(U: ElementSet, n: int, budget: int = 10_000_000) -> ElementSet:
     """The set of all products of exactly n elements of U, deduplicated.
 
-    Computed level by level with `product_level`; raises
+    Computed level by level on syllables with `product_level`, which raises
     BudgetExceededError if an intermediate level would exceed `budget`
-    canonical forms.
+    canonical forms; only the last level becomes elements.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(U) == 0:
         raise ValueError("U must be nonempty")
-    factors = list(U)
+    ctx = U.context
+    factors = [u.syllables for u in U]
     current = set(factors)
     for _ in range(n - 1):
-        current = product_level(current, factors, budget)
-    return ElementSet(U.context, current)
+        current = product_level(ctx.orders, current, factors, budget)
+    return ElementSet(ctx, (_element(ctx, s) for s in current))
 
 
 def safin_family(ctx: PresentationContext, N: int) -> ElementSet:

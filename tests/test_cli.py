@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import psgrowth
-from psgrowth.cli import main
+from psgrowth.cli import CONFIG_SCHEMA, main
 from psgrowth.words import GroupElement
 
 GROWTH_CFG = {
@@ -82,6 +83,20 @@ def test_unknown_key_rejected(tmp_path):
     cfg = dict(GROWTH_CFG, typo_key=1)
     p = write_cfg(tmp_path, cfg)
     assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 4
+
+
+def test_config_schema_is_a_valid_schema():
+    # main builds its validator once at import and never re-checks the schema
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+def test_schema_error_message_matches_jsonschema_validate(tmp_path, capsys):
+    cfg = dict(GROWTH_CFG, typo_key=1)
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+    p = write_cfg(tmp_path, cfg)
+    assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == f"config error: {exc.value.message}\n"
 
 
 def test_missing_config_exit_4(tmp_path):

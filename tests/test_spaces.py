@@ -557,14 +557,29 @@ def test_no_backend_type_checks_outside_spaces():
     assert found == {}
 
 
+def _is_assert(node) -> bool:
+    if isinstance(node, ast.Assert):
+        return True
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def asserts(source: str) -> list:
-    """Line numbers of the `assert` statements, which `python -O` strips."""
-    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert))
+    """Line numbers of the `assert` statements, which `python -O` strips,
+    and of every `raise AssertionError`: a failed recheck raises
+    RuntimeError."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if _is_assert(n))
 
 
 def test_asserts_finder():
-    src = "assert x\nif not x:\n    raise RuntimeError\nassert y, 'why'\n"
-    assert asserts(src) == [1, 4]
+    src = (
+        "assert x\nif not x:\n    raise RuntimeError\nassert y, 'why'\n"
+        "raise AssertionError('unreachable')\nraise AssertionError\n"
+        "try:\n    pass\nexcept AssertionError:\n    raise\n"
+    )
+    assert asserts(src) == [1, 4, 5, 6]
 
 
 def test_no_asserts_in_the_library():

@@ -1,10 +1,14 @@
 import itertools
 import random
+import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psgrowth.growth import growth_report
+from psgrowth.spaces import FreeGroupTree, FreeProductTree
 from psgrowth.words import (
     BudgetExceededError,
     ElementSet,
@@ -15,7 +19,9 @@ from psgrowth.words import (
     parse,
     power_of,
     primitive_root,
+    product_level,
     product_set,
+    random_reduced_word,
     safin_counts,
     safin_family,
 )
@@ -382,6 +388,83 @@ def test_product_set_budget():
     U = ElementSet.from_strings(F2, ["a", "b", "A", "B"])
     with pytest.raises(BudgetExceededError):
         product_set(U, 6, budget=100)
+
+
+# the tuple levels against the letter-by-letter oracle, on every backend
+# context: F_k has no finite factor, so its oracle orders are all None
+LEVEL_SPACES = {
+    "F2": FreeGroupTree(2),
+    "F3": FreeGroupTree(3),
+    "Z/2*Z/3": FreeProductTree((2, 3)),
+    "Z/5*Z/7": FreeProductTree((5, 7)),
+    "Z*Z/3": FreeProductTree((None, 3)),
+}
+
+
+def oracle_levels(U, n):
+    """U^k for k = 1..n, as syllables, by reducing every k-tuple's letters
+    at once."""
+    orders = U.context.orders or (None,) * U.context.rank
+    words = [raw_letters(str(u)) if not u.is_identity else [] for u in U]
+    return [
+        {fp_reduce(orders, sum(tup, [])) for tup in itertools.product(words, repeat=k)}
+        for k in range(1, n + 1)
+    ]
+
+
+@st.composite
+def level_inputs(draw):
+    name = draw(st.sampled_from(sorted(LEVEL_SPACES)))
+    ctx = LEVEL_SPACES[name].context
+    k = ctx.num_generators
+    alphabet = string.ascii_lowercase[:k] + string.ascii_uppercase[:k]
+    texts = draw(st.lists(st.text(alphabet=alphabet, max_size=5), min_size=1, max_size=5))
+    members = [parse(ctx, t) for t in texts]
+    if draw(st.booleans()):
+        members.append(ctx.identity())
+    if draw(st.booleans()):
+        members.append(members[0].inverse())
+    return name, ElementSet(ctx, members), draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(level_inputs())
+def test_tuple_levels_match_letter_oracle(case):
+    name, U, n = case
+    space = LEVEL_SPACES[name]
+    levels = oracle_levels(U, n)
+    got = product_set(U, n)
+    assert got.context is U.context
+    assert {el.syllables for el in got} == levels[-1]
+    assert growth_report(space, U, n).sizes == {k + 1: len(lv) for k, lv in enumerate(levels)}
+
+
+def test_budget_boundary_is_the_level_size():
+    space = LEVEL_SPACES["Z/5*Z/7"]
+    U = ElementSet.from_strings(space.context, ["1", "a", "A", "ab", "bbb"])
+    size = len(oracle_levels(U, 3)[-1])
+    assert len(product_set(U, 3, budget=size)) == size
+    with pytest.raises(BudgetExceededError):
+        product_set(U, 3, budget=size - 1)
+    assert not growth_report(space, U, 3, budget=size).truncated
+    short = growth_report(space, U, 3, budget=size - 1)
+    assert short.truncated and sorted(short.sizes) == [1, 2]
+
+
+def test_a_level_stores_syllables_not_elements():
+    # one seeded F_2 level; an element per product would cost about 50
+    # bytes more for each one stored
+    rng = random.Random(3)
+    U = ElementSet(F2, [random_reduced_word(rng, F2, rng.randint(4, 8)) for _ in range(50)])
+    factors = [u.syllables for u in U]
+    level2 = product_level(F2.orders, factors, factors, 10**7)
+    tracemalloc.start()
+    try:
+        level3 = product_level(F2.orders, level2, factors, 10**7)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / len(level3) < 200
 
 
 def test_product_set_submultiplicative():
