@@ -404,6 +404,13 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         section = cfg.get("treeapprox", {})
         base = section.get("base", 0)
         targets = section.get("targets") or [v for v in range(space.n) if v != base]
+        for v in [base, *targets]:
+            if not 0 <= v < space.n:
+                raise ConfigError(
+                    f"treeapprox vertex {v} is not a vertex id in 0..{space.n - 1}"
+                )
+        if not targets:
+            raise ConfigError(f"treeapprox: the graph has no vertex other than base {base}")
         approx = approximate_tree(space, base, targets)
         rep = distortion_report(approx)
         report["treeapprox"] = {

@@ -72,14 +72,15 @@ class EnergyProfile:
 
 
 def energy_at(space: ActionSpace, U: ElementSet, x) -> Fraction:
-    """(1/|U|) * sum over u of |x - ux|, exactly."""
+    """(1/|U|) * sum over u of |x - ux|, exactly: the hops are summed as
+    integers and scaled once."""
     if len(U) == 0:
         raise ValueError("U must be nonempty")
-    return sum((space.dist(x, space.act(u, x)) for u in U), Fraction(0)) / len(U)
+    return Fraction(sum(space.hops(x, space.act(u, x)) for u in U)) * space.rho0 / len(U)
 
 
 def displacement_at(space: ActionSpace, U: ElementSet, x) -> Fraction:
-    return max(space.dist(x, space.act(u, x)) for u in U)
+    return max(space.hops(x, space.act(u, x)) for u in U) * space.rho0
 
 
 def _descend(space: ActionSpace, U: ElementSet, x) -> tuple:

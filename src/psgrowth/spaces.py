@@ -10,8 +10,9 @@ Three immutable backends:
                        hyperbolicity constant and an optional isometric action
                        given by adjacency-preserving vertex permutations
 
-All distances are exact `Fraction`s (integer multiples of the edge length
-rho0).  Infinite backends never materialize the space.
+Every backend counts edges with an integer `hops(x, y)`; distances are the
+exact `Fraction`s `hops(x, y) * rho0`, integer multiples of the edge length
+rho0.  Infinite backends never materialize the space.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class ActionSpace:
     # exists
     is_tree = False
 
-    # subclasses implement: dist, act, geodesic, point_at, ball_size,
+    # subclasses implement: hops, act, geodesic, point_at, ball_size,
     # basepoint, check_point, point_key, encode_point, translation_length;
     # FreeGroupTree alone lists a sphere (of the whole free group)
 
@@ -91,8 +92,11 @@ class ActionSpace:
             raise ValueError("N0 must be a positive integer")
         self.N0 = N0
 
+    def dist(self, x, y) -> Fraction:
+        return self.hops(x, y) * self.rho0
+
     def gromov_product(self, p, q, x) -> Fraction:
-        return (self.dist(p, x) + self.dist(q, x) - self.dist(p, q)) / 2
+        return Fraction(self.hops(p, x) + self.hops(q, x) - self.hops(p, q), 2) * self.rho0
 
     def steps(self, length: Fraction) -> int:
         """Convert a length to an edge count; errors if not representable."""
@@ -141,8 +145,12 @@ class FreeGroupTree(ActionSpace):
     def encode_point(self, x) -> str:
         return str(x)
 
-    def dist(self, x, y) -> Fraction:
-        return (x.inverse() * y).word_length() * self.rho0
+    def hops(self, x, y) -> int:
+        return (x.inverse() * y).word_length()
+
+    # each backend binds the one `dist` in its own namespace, where perfbench's
+    # traced run counts calls per backend class
+    dist = ActionSpace.dist
 
     def act(self, g: GroupElement, x) -> GroupElement:
         if g.context != self.context:
@@ -307,8 +315,12 @@ class FreeProductTree(ActionSpace):
         self.check_point(y)
         return self._labels(x[1], x[0].inverse() * y[0], y[1])
 
-    def dist(self, x, y) -> Fraction:
-        return len(self._path(x, y)) * self.rho0
+    def hops(self, x, y) -> int:
+        return len(self._path(x, y))
+
+    # each backend binds the one `dist` in its own namespace, where perfbench's
+    # traced run counts calls per backend class
+    dist = ActionSpace.dist
 
     def geodesic(self, x, y) -> list:
         points = [x]
@@ -484,10 +496,14 @@ class FiniteHypGraph(ActionSpace):
     def encode_point(self, x) -> str:
         return f"v{x}"
 
-    def dist(self, x, y) -> Fraction:
+    def hops(self, x, y) -> int:
         self.check_point(x)
         self.check_point(y)
-        return int(self._hops[x, y]) * self.rho0
+        return int(self._hops[x, y])
+
+    # each backend binds the one `dist` in its own namespace, where perfbench's
+    # traced run counts calls per backend class
+    dist = ActionSpace.dist
 
     def act(self, g: GroupElement, x) -> int:
         if self.context is None or g.context != self.context:
@@ -528,9 +544,7 @@ class FiniteHypGraph(ActionSpace):
     def point_at(self, x, y, k: int) -> int:
         """`geodesic(x, y)[k]`: the walk back from y along the same
         predecessors, without building the rest of the geodesic."""
-        self.check_point(x)
-        self.check_point(y)
-        length = int(self._hops[x, y])
+        length = self.hops(x, y)
         _check_steps(k, length)
         pred = self._predecessors(x)
         for _ in range(length - k):
@@ -541,8 +555,8 @@ class FiniteHypGraph(ActionSpace):
         """The minimum displacement as an exhaustive minimum over vertices,
         with the least vertex attaining it.  No element is hyperbolic: g
         permutes finitely many vertices, so it has finite order."""
-        length, argmin = min((self.dist(v, self.act(g, v)), v) for v in range(self.n))
-        return AxisData(g, length, False, min_point=argmin)
+        least, argmin = min((self.hops(v, self.act(g, v)), v) for v in range(self.n))
+        return AxisData(g, least * self.rho0, False, min_point=argmin)
 
     def ball_size(self, x, r) -> int:
         k = self.steps(r)

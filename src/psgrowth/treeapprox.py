@@ -47,6 +47,9 @@ class ApproximationTree:
     div: list  # maximin-closed divergence depths between legs
     samples: list  # (point, TreePoint) with first-leg assignment
     n_leaves: int
+    # div in doubled hops: div[i][j] = div2[i][j] * rho0 / 2 off the
+    # diagonal, and a sentinel above every doubled depth on it
+    div2: list
 
     def tree_distance(self, a: TreePoint, b: TreePoint) -> Fraction:
         if a.leg == b.leg:
@@ -68,14 +71,16 @@ class ApproximationTree:
         """Depth at which leg i attaches to the tree spanned by legs < i."""
         if i == 0:
             return Fraction(0)
-        return max(self.div[i][j] for j in range(i))
+        row = self.div2[i]
+        return self.div[i][max(range(i), key=row.__getitem__)]
 
     def canonical_leg(self, leg: int, depth: Fraction) -> int:
         """The lowest-index leg through the point at `depth` on leg `leg`:
-        the legs that have not yet diverged from it there."""
-        return min(
-            j for j in range(len(self.legs)) if j == leg or self.div[leg][j] >= depth
-        )
+        the legs that have not yet diverged from it there, i.e. with
+        div >= depth, or div2 >= 2 depth / rho0 rounded up."""
+        bar = math.ceil(2 * depth / self.space.rho0)
+        row = self.div2[leg]
+        return next(j for j in range(len(self.legs)) if j == leg or row[j] >= bar)
 
     # -- explicit tree structure for export ---------------------------------
 
@@ -135,19 +140,24 @@ def approximate_tree(space: ActionSpace, x0, targets: Sequence) -> Approximation
     legs = [space.geodesic(x0, t) for t in targets]
     n = len(legs)
 
-    prod = [
-        [space.gromov_product(targets[i], targets[j], x0) for j in range(n)]
-        for i in range(n)
-    ]
-    # maximin (widest-path) closure over chains of legs, on the ranks of the
-    # distinct products: it only takes mins and maxes, so ranks decode exactly
-    values = sorted({p for row in prod for p in row}) + [_INF]
-    rank = {v: r for r, v in enumerate(values)}
-    R = np.array([[rank[p] for p in row] for row in prod], dtype=np.int64)
-    np.fill_diagonal(R, len(values) - 1)
+    # twice the Gromov products (t_i, t_j)_{x0}, in hops
+    out = [space.hops(t, x0) for t in targets]
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            G[i][j] = G[j][i] = out[i] + out[j] - space.hops(targets[i], targets[j])
+    # maximin (widest-path) closure over chains of legs; the diagonal
+    # sentinel exceeds every doubled depth 2 hops(x0, t_i)
+    top = 2 * max(out) + 1
+    R = np.array(G, dtype=np.int64)
+    np.fill_diagonal(R, top)
     for k in range(n):
         np.maximum(R, np.minimum(R[:, k, None], R[None, k, :]), out=R)
-    div = [[values[r] for r in row] for row in R.tolist()]
+    div2 = R.tolist()
+    # decode each distinct value once: g doubled hops are g rho0 / 2
+    depth = {g: Fraction(g, 2) * space.rho0 for g in set().union(*div2)}
+    depth[top] = _INF
+    div = [[depth[g] for g in row] for row in div2]
 
     samples: list = []
     assigned: dict = {}
@@ -167,6 +177,7 @@ def approximate_tree(space: ActionSpace, x0, targets: Sequence) -> Approximation
         div=div,
         samples=samples,
         n_leaves=n,
+        div2=div2,
     )
 
 
@@ -198,27 +209,30 @@ def distortion_report(approx: ApproximationTree) -> DistortionReport:
     """Exhaustive two-sided distortion check over all sampled pairs.
 
     ok means: no pair expanded (d_T > |x - x'|) and the worst shrink is
-    within 2*delta*(log2(n)+1), compared exactly."""
+    within 2*delta*(log2(n)+1), compared exactly.  The pairs are compared
+    in doubled hops (a sample s edges down its leg sits at depth 2 s), and
+    the worst shrink is scaled by rho0 / 2 once."""
     space = approx.space
-    samples = approx.samples
-    max_shrink = Fraction(0)
+    points = [p for p, _ in approx.samples]
+    legs = [tp.leg for _, tp in approx.samples]
+    depths = [2 * space.steps(tp.depth) for _, tp in approx.samples]
+    shrink = 0
     expansion = False
-    pairs = 0
-    for idx in range(len(samples)):
-        p, tp = samples[idx]
-        for jdx in range(idx + 1, len(samples)):
-            q, tq = samples[jdx]
-            real = space.dist(p, q)
-            tree = approx.tree_distance(tp, tq)
-            pairs += 1
+    for a, p in enumerate(points):
+        s, row = depths[a], approx.div2[legs[a]]
+        for b in range(a + 1, len(points)):
+            t = depths[b]
+            # the diagonal sentinel exceeds every depth, so this is also
+            # |s - t| on a shared leg
+            tree = s + t - 2 * min(s, t, row[legs[b]])
+            real = 2 * space.hops(p, points[b])
             if tree > real:
                 expansion = True
-            elif real - tree > max_shrink:
-                max_shrink = real - tree
-    leg_iso = all(
-        approx.tree_distance(TreePoint(0, Fraction(0)), tp) == space.dist(approx.x0, p)
-        for p, tp in samples
-    )
+            elif real - tree > shrink:
+                shrink = real - tree
+    max_shrink = Fraction(shrink, 2) * space.rho0
+    # the root (leg 0, depth 0) is at tree distance `depth` from every sample
+    leg_iso = all(d == 2 * space.hops(approx.x0, p) for p, d in zip(points, depths))
     within = approx.distortion_bound_holds(max_shrink)
     n = max(approx.n_leaves, 1)
     bound_display = float(2 * approx.space.delta) * (math.log2(n) + 1)
@@ -226,7 +240,7 @@ def distortion_report(approx: ApproximationTree) -> DistortionReport:
         max_shrink=max_shrink,
         expansion_found=expansion,
         ok=within and not expansion and leg_iso,
-        n_pairs=pairs,
+        n_pairs=len(points) * (len(points) - 1) // 2,
         delta=space.delta,
         n_leaves=approx.n_leaves,
         leg_isometry_ok=leg_iso,

@@ -319,6 +319,33 @@ def test_treeapprox_command(tmp_path):
     assert rep["treeapprox"]["tree"]["parent"].count(-1) == 1
 
 
+@pytest.mark.parametrize(
+    "space, section, named",
+    [
+        (C9, {"base": 9}, "vertex 9 "),
+        (C9, {"base": 0, "targets": [2, 12]}, "vertex 12 "),
+        (C9, {"targets": [-1, 3]}, "vertex -1 "),
+        ({"backend": "graph", "graph": {"vertices": 1, "edges": []}}, {}, "base 0"),
+        ({"backend": "graph", "graph": {"vertices": 1, "edges": []}}, {"targets": []}, "base 0"),
+    ],
+    ids=["base_not_a_vertex", "target_not_a_vertex", "negative_target", "one_vertex",
+         "one_vertex_empty_targets"],
+)
+def test_treeapprox_bad_vertices_exit_4(tmp_path, capsys, monkeypatch, space, section, named):
+    # each one used to reach a library ValueError; now the config is refused,
+    # naming the id, before tree approximation is called
+    monkeypatch.setattr(psgrowth.cli, "approximate_tree",
+                        lambda *args: pytest.fail("tree approximation was called"))
+    cfg = {"command": "treeapprox", "space": space, "treeapprox": section}
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: treeapprox")
+    assert named in err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("budget, code", [(14640, 3), (14641, 0)])
 def test_graph_size_is_capped_by_the_budget(tmp_path, budget, code):
     # the four-point delta of an n-vertex graph scans all n^4 quadruples, so

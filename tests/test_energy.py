@@ -13,7 +13,12 @@ from psgrowth.energy import (
     energy_at,
     minimize_energy,
 )
-from psgrowth.spaces import cycle_graph
+from psgrowth.spaces import (
+    FiniteHypGraph,
+    FreeGroupTree,
+    FreeProductTree,
+    cycle_graph,
+)
 from psgrowth.words import ElementSet, random_reduced_word, safin_family
 
 from conftest import TREES, w
@@ -164,6 +169,41 @@ def test_minimize_energy_graph_exhaustive():
     prof = minimize_energy(c6, U)
     assert prof.energy == 1  # rotation displaces every vertex by exactly 1
     assert prof.base_point == 0  # tie-break: smallest vertex id
+
+
+def oracle_energy(space, U, x) -> tuple:
+    """(energy, displacement) at x from Fraction distances."""
+    disps = [space.dist(x, space.act(u, x)) for u in U]
+    return sum(disps, Fraction(0)) / len(U), max(disps)
+
+
+@pytest.mark.parametrize("rho0", [1, Fraction(3, 2), Fraction(2, 3)], ids=str)
+def test_energy_on_hops_matches_fraction_sums(rho0):
+    # the hops are summed (or maximised) as integers and scaled once
+    rng = random.Random(44)
+    for space in (FreeGroupTree(2, rho0=rho0), FreeProductTree((5, 7), rho0=rho0)):
+        texts = ["".join(rng.choice("abAB") for _ in range(rng.randint(1, 6))) for _ in range(7)]
+        words = [w(space, t) for t in texts]
+        U = ElementSet(space.context, words)
+        one = space.basepoint()
+        for x in space.geodesic(one, space.act(words[0], one)):
+            got = energy_at(space, U, x), displacement_at(space, U, x)
+            assert got == oracle_energy(space, U, x)
+            assert all(type(v) is Fraction for v in got)
+    for n in (5, 8, 9):
+        # the cycle rotated, and the path reflected end to end
+        reflected = FiniteHypGraph(
+            n, [(i, i + 1) for i in range(n - 1)], [list(range(n))[::-1]], rho0=rho0
+        )
+        for graph, texts in ((cycle_graph(n, rho0=rho0), ("a", "aaa", "A")),
+                             (reflected, ("a", "1"))):
+            U = eset(graph, *texts)
+            for v in range(n):
+                got = energy_at(graph, U, v), displacement_at(graph, U, v)
+                assert got == oracle_energy(graph, U, v)
+            prof = minimize_energy(graph, U)
+            assert (prof.energy, prof.displacement) == oracle_energy(graph, U, prof.base_point)
+            assert prof.base_point == min(range(n), key=lambda v: (oracle_energy(graph, U, v), v))
 
 
 # ---------------------------------------------------------------------------

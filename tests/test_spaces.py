@@ -101,12 +101,15 @@ def test_free_tree_geodesic_telescopes(f2_tree):
 
 
 # ---------------------------------------------------------------------------
-# FreeProductTree: BFS oracle over the materialized ball
+# FreeProductTree and FreeGroupTree: BFS oracle over the materialized ball
 
 
-def neighbors(tree: FreeProductTree, v):
-    """All tree neighbors of a vertex, from the edge structure: edges through
-    the elements of the coset v."""
+def neighbors(tree, v):
+    """All tree neighbors of a vertex, from the edge structure: on the
+    Cayley tree, v times each letter; on the Bass-Serre tree, the edges
+    through the elements of the coset v."""
+    if isinstance(tree, FreeGroupTree):
+        return [v * w(tree, letter) for letter in "abAB"]
     word, tag = v
     order = tree.context.orders[tag]
     if order is None:
@@ -181,6 +184,49 @@ def test_product_tree_all_pairs_match_bfs_oracle(orders):
         path = oracle_path(found, a, b)
         assert tree.dist(x, y) == (len(path) - 1) * tree.rho0
         assert [tree.point_key(v) for v in tree.geodesic(x, y)] == path
+
+
+SCALES = (1, Fraction(3, 2), Fraction(2, 3))
+
+
+def assert_hops_match_bfs_oracle(tree, root, depth):
+    """hops and dist between every pair of a BFS ball, and Gromov products
+    at every third point, against the ball's own paths: (p|q)_x is the
+    number of edges [x, p] and [x, q] share."""
+    found = bfs_tree(tree, root, depth)
+    hop = {}
+    for a, b in itertools.product(found, repeat=2):
+        x, y = found[a][0], found[b][0]
+        hop[a, b] = len(oracle_path(found, a, b)) - 1
+        assert tree.hops(x, y) == hop[a, b]
+        assert tree.dist(x, y) == hop[a, b] * tree.rho0
+    keys = sorted(found)
+    rng = random.Random(depth)
+    for _ in range(300):
+        a, b, c = (rng.choice(keys) for _ in range(3))
+        to_a, to_b = oracle_path(found, c, a), oracle_path(found, c, b)
+        shared = next(
+            (k for k, (u, v) in enumerate(zip(to_a, to_b)) if u != v),
+            min(len(to_a), len(to_b)),
+        )
+        got = tree.gromov_product(found[a][0], found[b][0], found[c][0])
+        assert got == (shared - 1) * tree.rho0
+    return found
+
+
+@pytest.mark.parametrize("rho0", SCALES, ids=str)
+def test_free_tree_hops_match_bfs_oracle(rho0):
+    tree = FreeGroupTree(2, rho0=rho0)
+    root = w(tree, "aB")
+    found = assert_hops_match_bfs_oracle(tree, root, 3)
+    assert len(found) == tree.ball_size(root, 3 * tree.rho0) == 53
+
+
+@pytest.mark.parametrize("rho0", SCALES, ids=str)
+@pytest.mark.parametrize("orders", [(2, 3), (3, 4), (2, 2)])
+def test_product_tree_hops_match_bfs_oracle(orders, rho0):
+    tree = FreeProductTree(orders, rho0=rho0)
+    assert_hops_match_bfs_oracle(tree, tree.vertex(w(tree, "ab"), 1), 3)
 
 
 @pytest.mark.parametrize("orders", [(2, 3), (5, 7), (2, 2), (3, 4)])
@@ -372,6 +418,7 @@ def floyd_warshall_hops(n, edges):
 def assert_delta_matches_oracles(n, edges, rho0):
     g = FiniteHypGraph(n, edges, rho0=rho0)
     hops = floyd_warshall_hops(n, edges)
+    assert [[g.hops(i, j) for j in range(n)] for i in range(n)] == hops
     assert [[g.dist(i, j) for j in range(n)] for i in range(n)] == [
         [h * g.rho0 for h in row] for row in hops
     ]

@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psgrowth.treeapprox import _INF, TreePoint, approximate_tree, distortion_report
-from psgrowth.spaces import cycle_graph, random_connected_graph
+from psgrowth.spaces import (
+    FiniteHypGraph,
+    FreeGroupTree,
+    FreeProductTree,
+    cycle_graph,
+    random_connected_graph,
+)
 from psgrowth.words import random_reduced_word
 
 from conftest import TREES, digest, tree_vertex, w
@@ -129,7 +135,7 @@ def test_no_targets_rejected(f2_tree):
 
 
 # ---------------------------------------------------------------------------
-# the maximin closure against the Fraction triple loop
+# the maximin closure and the distortion check against Fraction loops
 
 
 def oracle_closure(space, x0, targets) -> list:
@@ -146,12 +152,59 @@ def oracle_closure(space, x0, targets) -> list:
     return div
 
 
-def assert_closure_matches_oracle(space, x0, targets):
+def oracle_distortion(approx) -> tuple:
+    """(max_shrink, expansion_found, leg_isometry_ok, ok, n_pairs) by the
+    all-pairs loop over Fraction distances and `tree_distance`."""
+    space, samples = approx.space, approx.samples
+    max_shrink = Fraction(0)
+    expansion = False
+    pairs = 0
+    for idx in range(len(samples)):
+        p, tp = samples[idx]
+        for jdx in range(idx + 1, len(samples)):
+            q, tq = samples[jdx]
+            real = space.dist(p, q)
+            tree = approx.tree_distance(tp, tq)
+            pairs += 1
+            if tree > real:
+                expansion = True
+            elif real - tree > max_shrink:
+                max_shrink = real - tree
+    leg_iso = all(
+        approx.tree_distance(TreePoint(0, Fraction(0)), tp) == space.dist(approx.x0, p)
+        for p, tp in samples
+    )
+    ok = approx.distortion_bound_holds(max_shrink) and not expansion and leg_iso
+    return max_shrink, expansion, leg_iso, ok, pairs
+
+
+def doubled(space, div, top) -> list:
+    """A Fraction closure in doubled hops, with `top` on the diagonal."""
+    out = [[top] * len(div) for _ in div]
+    for i, row in enumerate(div):
+        for j, d in enumerate(row):
+            if i != j:
+                g = 2 * d / space.rho0
+                assert g.denominator == 1
+                out[i][j] = int(g)
+    return out
+
+
+def assert_matches_oracles(space, x0, targets):
+    """The closure, its doubled-hop form, the export and the distortion
+    report against the Fraction oracles."""
     approx = approximate_tree(space, x0, targets)
     want = oracle_closure(space, x0, targets)
     assert approx.div == want
     assert all(approx.div[i][i] == _INF for i in range(len(targets)))
-    assert approx.export() == replace(approx, div=want).export()
+    top = approx.div2[0][0]
+    assert approx.div2 == doubled(space, want, top)
+    assert top > max(2 * space.steps(tp.depth) for _, tp in approx.samples)
+    assert approx.export() == replace(approx, div=want, div2=doubled(space, want, top)).export()
+    rep = distortion_report(approx)
+    got = (rep.max_shrink, rep.expansion_found, rep.leg_isometry_ok, rep.ok, rep.n_pairs)
+    assert got == oracle_distortion(approx)
+    assert type(rep.max_shrink) is Fraction
     return approx
 
 
@@ -168,24 +221,87 @@ def graph_cases():
 
 def test_graph_closure_matches_oracle():
     for g, x0, targets in graph_cases():
-        assert_closure_matches_oracle(g, x0, targets)
+        assert_matches_oracles(g, x0, targets)
+
+
+# edge lengths at which a doubled hop is not an integer length
+RHO0S = (Fraction(3, 2), Fraction(2, 3))
+
+
+@pytest.mark.parametrize("rho0", RHO0S, ids=str)
+def test_graph_oracles_hold_at_non_unit_rho0(rho0):
+    for g, x0, targets in graph_cases():
+        scaled = FiniteHypGraph(g.n, g.edges, rho0=rho0)
+        assert scaled.delta == g.delta * rho0
+        approx = assert_matches_oracles(scaled, x0, targets)
+        rep, unit = distortion_report(approx), distortion_report(approximate_tree(g, x0, targets))
+        assert rep.max_shrink == unit.max_shrink * rho0
+        assert (rep.ok, rep.n_pairs) == (unit.ok, unit.n_pairs)
+
+
+def test_distortion_matches_oracle_on_more_graphs():
+    # a wider seeded draw than `graph_cases`: it holds pairs on two legs
+    # whose shallower point is nearer x0 than the legs' divergence depth
+    rng = random.Random(57)
+    for _ in range(80):
+        g = random_connected_graph(rng, n_max=16)
+        x0 = rng.randrange(g.n)
+        targets = [rng.randrange(g.n) for _ in range(rng.randint(1, 10))]
+        approx = approximate_tree(g, x0, targets)
+        rep = distortion_report(approx)
+        got = (rep.max_shrink, rep.expansion_found, rep.leg_isometry_ok, rep.ok, rep.n_pairs)
+        assert got == oracle_distortion(approx), (g.edges, x0, targets)
+
+
+@pytest.mark.parametrize("rho0", (Fraction(1),) + RHO0S, ids=str)
+def test_canonical_leg_matches_the_fraction_rule(rho0):
+    # at every quarter edge, also between the depths a sample or a glue
+    # point can have (the reduction route asks at any tolerance)
+    for g, x0, targets in graph_cases():
+        approx = approximate_tree(FiniteHypGraph(g.n, g.edges, rho0=rho0), x0, targets)
+        n = len(targets)
+        top = max(2 * approx.space.steps(tp.depth) for _, tp in approx.samples)
+        for leg in range(n):
+            for k in range(2 * top + 2):
+                depth = Fraction(k, 4) * rho0
+                want = min(j for j in range(n) if j == leg or approx.div[leg][j] >= depth)
+                assert approx.canonical_leg(leg, depth) == want
 
 
 POINT = st.tuples(st.text(alphabet="abAB", max_size=7), st.integers(0, 1))
+
+# the two tree backends at every tested edge length
+SCALED_TREES = {
+    (name, rho0): make(rho0)
+    for name, make in (
+        ("F2", lambda r: FreeGroupTree(2, rho0=r)),
+        ("Z5*Z7", lambda r: FreeProductTree((5, 7), rho0=r)),
+    )
+    for rho0 in (Fraction(1),) + RHO0S
+}
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     tree=st.sampled_from(sorted(TREES)),
+    rho0=st.sampled_from((Fraction(1),) + RHO0S),
     x0=POINT,
     targets=st.lists(POINT, min_size=1, max_size=8),
 )
 # a repeated target (tied products) and targets through x0 (zero products)
-@example(tree="F2", x0=("", 0), targets=[("ab", 0), ("ab", 0), ("aB", 0), ("b", 0), ("", 0)])
-@example(tree="Z5*Z7", x0=("a", 1), targets=[("ab", 0), ("ab", 1), ("b", 1), ("a", 1)])
-def test_tree_closure_matches_oracle(tree, x0, targets):
-    space = TREES[tree]
-    assert_closure_matches_oracle(
+@example(
+    tree="F2",
+    rho0=Fraction(1),
+    x0=("", 0),
+    targets=[("ab", 0), ("ab", 0), ("aB", 0), ("b", 0), ("", 0)],
+)
+@example(
+    tree="Z5*Z7", rho0=Fraction(1), x0=("a", 1), targets=[("ab", 0), ("ab", 1), ("b", 1), ("a", 1)]
+)
+@example(tree="Z5*Z7", rho0=Fraction(2, 3), x0=("", 0), targets=[("ab", 1), ("aab", 0)])
+def test_tree_closure_matches_oracle(tree, rho0, x0, targets):
+    space = SCALED_TREES[tree, rho0]
+    assert_matches_oracles(
         space, tree_vertex(space, *x0), [tree_vertex(space, *t) for t in targets]
     )
 
