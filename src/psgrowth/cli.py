@@ -163,6 +163,35 @@ def _frac(s, default=None):
     return Fraction(s)
 
 
+def _parse_at(ctx, text: str, key: str):
+    """`parse`, with a string it rejects reported as a config error at `key`."""
+    try:
+        return parse(ctx, text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _root_at(ctx, text: str, key: str):
+    """A period or ping-pong root: an element other than the identity."""
+    root = _parse_at(ctx, text, key)
+    if root.is_identity:
+        raise ConfigError(f"{key}: the identity is not a root (it has no primitive root)")
+    return root
+
+
+def _reduce_radius(cfg: dict, space, mode: Mode):
+    """`reduce.r`, checked as the tree reduction checks it: a positive
+    multiple of rho0, and at most kappa0 / 4 in paper mode."""
+    r = _frac(cfg.get("reduce", {}).get("r"))
+    if r is None:
+        return None
+    if r <= 0 or (r / space.rho0).denominator != 1:
+        raise ConfigError(f"reduce.r: {r} is not a positive multiple of rho0 = {space.rho0}")
+    if mode.name == "paper" and r > space.kappa0 / 4:
+        raise ConfigError(f"reduce.r: paper mode needs r <= kappa0 / 4 = {space.kappa0 / 4}")
+    return r
+
+
 def build_space(cfg: dict):
     section = cfg["space"]
     backend = section["backend"]
@@ -212,7 +241,10 @@ def build_set(cfg: dict, space, seed: int) -> ElementSet:
     if kind == "explicit":
         if "elements" not in section:
             raise ConfigError("explicit set needs 'elements'")
-        return ElementSet.from_strings(ctx, section["elements"])
+        return ElementSet(
+            ctx,
+            [_parse_at(ctx, t, f"set.elements[{i}]") for i, t in enumerate(section["elements"])],
+        )
     if kind == "safin":
         if "n_big" not in section:
             raise ConfigError("safin set needs 'n_big'")
@@ -350,10 +382,11 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         }
 
     elif command == "reduce":
+        r = _reduce_radius(cfg, space, mode)
         U = build_set(cfg, space, seed)
         prof = minimize_energy(space, U)
         x0 = prof.base_point
-        res = reduce_at(space, U, x0, _frac(cfg.get("reduce", {}).get("r")))
+        res = reduce_at(space, U, x0, r)
         report["reduction"] = res.as_dict()
         if not res.failed:
             out1, out2 = median_split(space, res.u1, res.u2, x0)
@@ -361,12 +394,14 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         report["base_point"] = space.encode_point(x0)
 
     elif command == "period":
+        section = cfg.get("period", {})
+        root = None
+        if "root" in section:
+            root = _root_at(space.context, section["root"], "period.root")
         U = build_set(cfg, space, seed)
         x0 = space.basepoint()
-        section = cfg.get("period", {})
         threshold = _frac(section.get("threshold"))
-        if "root" in section:
-            root = parse(space.context, section["root"])
+        if root is not None:
             report["period"] = [
                 is_periodic(space, v, root, x0, threshold).as_dict() for v in U
             ]
@@ -378,8 +413,8 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         section = cfg.get("pingpong")
         if section is None:
             raise ConfigError("pingpong needs a 'pingpong' section")
-        root = parse(space.context, section["root"])
-        t = parse(space.context, section["t"])
+        root = _root_at(space.context, section["root"], "pingpong.root")
+        t = _parse_at(space.context, section["t"], "pingpong.t")
         powers = section.get("powers", [10, 20, 30])
         # V's largest power is built whole before any enumeration budget applies
         size = root.word_length() * max(abs(k) for k in powers) + t.word_length()

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .energy import Case, EnergyProfile, Mode, classify, minimize_energy
 from .exactmath import log2_upper
 from .hypgeom import translation_length
@@ -34,7 +32,6 @@ from .words import (
     BudgetExceededError,
     ElementSet,
     GroupElement,
-    _element,
     power_of,
     primitive_root,
     product_level,
@@ -212,6 +209,8 @@ def exponent_fit(
     Regressing on the family size rather than the raw parameter N matches
     the theorem's (alpha |U|)^e scaling and the op's own example values;
     the counts are returned alongside for reporting."""
+    import numpy as np
+
     counts = {}
     xs, ys = [], []
     for N in N_range:
@@ -432,7 +431,7 @@ def diffuse_pipeline(
         w = set(u1)
         for _ in range(l - 2):
             w = product_level(ctx.orders, product_level(ctx.orders, w, u2, budget), u1, budget)
-        W = ElementSet(ctx, (_element(ctx, s) for s in w))
+        W = ElementSet._from_syllables(ctx, w)
 
     consts = AlphaConstants.for_space(space)
     counting = known["counting"] = {}

@@ -20,9 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .words import (
     FREE_PRODUCT,
@@ -31,6 +29,9 @@ from .words import (
     cyclic_reduce,
     free_group,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _as_fraction(x) -> Fraction:
@@ -450,6 +451,8 @@ class FiniteHypGraph(ActionSpace):
 
     def _all_pairs_hops(self) -> np.ndarray:
         """Hop counts by one BFS per source, n + 1 where unreachable."""
+        import numpy as np
+
         hops = np.empty((self.n, self.n), dtype=np.int64)
         for s in range(self.n):
             row = [self.n + 1] * self.n
@@ -475,6 +478,8 @@ class FiniteHypGraph(ActionSpace):
         S1 = d(w,x) + d(y,z), S2 = d(w,y) + d(x,z), S3 = d(w,z) + d(x,y), so its
         max is the gap of the two largest pairing sums, in integer hops (the
         result may be a half-integer times rho0); n^4 time, 4 n^3 bytes."""
+        import numpy as np
+
         D = self._hops.astype(np.int32)
         gap = 0
         for w in range(self.n):

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .exactmath import within_log_bound
 from .spaces import ActionSpace
 
@@ -134,6 +132,8 @@ def approximate_tree(space: ActionSpace, x0, targets: Sequence) -> Approximation
     """Build the approximating tree for the geodesic star from x0 to the
     targets.  Sample set = every geodesic vertex; each sample maps to the
     first (lowest-index) leg through it."""
+    import numpy as np
+
     targets = list(targets)
     if not targets:
         raise ValueError("need at least one target")

@@ -195,16 +195,10 @@ class GroupElement:
     # -- ordering / serialization ------------------------------------------
 
     def sort_key(self) -> tuple:
-        return (self.word_length(), str(self))
+        return _shortlex(self.syllables)
 
     def __str__(self) -> str:
-        if not self.syllables:
-            return "1"
-        parts = []
-        for g, e in self.syllables:
-            ch = _LOWER[g] if e > 0 else _UPPER[g]
-            parts.append(ch * abs(e))
-        return "".join(parts)
+        return _word(self.syllables)
 
     def __repr__(self) -> str:
         return f"<{self} in {self.context}>"
@@ -222,6 +216,22 @@ def _element(ctx: PresentationContext, syllables: tuple) -> GroupElement:
     _set_context(el, ctx)
     _set_syllables(el, syllables)
     return el
+
+
+def _word(syllables: tuple) -> str:
+    """The compact letter string of a normal form ("1" for the identity)."""
+    if not syllables:
+        return "1"
+    parts = []
+    for g, e in syllables:
+        ch = _LOWER[g] if e > 0 else _UPPER[g]
+        parts.append(ch * abs(e))
+    return "".join(parts)
+
+
+def _shortlex(syllables: tuple) -> tuple:
+    """The canonical order of normal forms: word length, then the string."""
+    return (sum(abs(e) for _, e in syllables), _word(syllables))
 
 
 def _join(orders: tuple, a: tuple, b: tuple) -> tuple:
@@ -400,22 +410,45 @@ def power_of(a: GroupElement, root: GroupElement) -> Optional[int]:
 class ElementSet:
     """A deduplicated, immutable set of group elements over one context.
 
+    The set is stored as the normal-form syllable tuples of its members, so
+    size, membership, equality and hashing never touch an element object.
     Iteration order is canonical (shortlex), so reports built from an
-    ElementSet are reproducible.
+    ElementSet are reproducible; it yields the elements the set was built
+    from, or, for a set built from syllables, elements made on the first
+    iteration.
     """
 
     def __init__(self, context: PresentationContext, members: Iterable[GroupElement]):
-        members = frozenset(members)
+        given: dict[tuple, GroupElement] = {}
         for m in members:
             if m.context is not context and m.context != context:
                 raise ValueError("element context mismatch")
+            given.setdefault(m.syllables, m)
         self.context = context
-        self._members = members
+        self._members = frozenset(given)
+        self._given = list(given.values())
         self._sorted: Optional[list[GroupElement]] = None
+
+    @classmethod
+    def _from_syllables(
+        cls, context: PresentationContext, syllables: Iterable[tuple]
+    ) -> "ElementSet":
+        """The set of the normal forms `syllables`, trusted to be in normal
+        form over `context`; no element is built until it is iterated."""
+        self = object.__new__(cls)
+        self.context = context
+        self._members = frozenset(syllables)
+        self._given = None
+        self._sorted = None
+        return self
 
     def _ordered(self) -> list[GroupElement]:
         if self._sorted is None:
-            self._sorted = sorted(self._members, key=GroupElement.sort_key)
+            if self._given is None:
+                ctx = self.context
+                self._sorted = [_element(ctx, s) for s in sorted(self._members, key=_shortlex)]
+            else:
+                self._sorted = sorted(self._given, key=GroupElement.sort_key)
         return self._sorted
 
     def __iter__(self) -> Iterator[GroupElement]:
@@ -425,7 +458,11 @@ class ElementSet:
         return len(self._members)
 
     def __contains__(self, el: GroupElement) -> bool:
-        return el in self._members
+        return (
+            el.__class__ is GroupElement
+            and el.syllables in self._members
+            and (el.context is self.context or el.context == self.context)
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -435,13 +472,14 @@ class ElementSet:
         )
 
     def __hash__(self) -> int:
+        # a GroupElement hashes as its syllables
         return hash((self.context, self._members))
 
     def __repr__(self) -> str:
         return f"ElementSet({len(self)} elements in {self.context})"
 
     def to_strings(self) -> list[str]:
-        return [str(m) for m in self._ordered()]
+        return [word for _, word in sorted(map(_shortlex, self._members))]
 
     @classmethod
     def from_strings(cls, ctx: PresentationContext, texts: Iterable[str]) -> "ElementSet":
@@ -458,20 +496,39 @@ def product_level(
     This is the package's one product-set loop: every level of every
     enumeration goes through it, and callers build GroupElements only for
     the levels they keep.  A b whose first generator differs from a's last
-    one is spliced on as a + b; the rest meet in `_join`.  Raises
-    BudgetExceededError once there are more than `budget` distinct
-    products.
+    one is spliced on as a + b.  The rest meet a's last syllable s: each is
+    joined to s alone once per level, by `_join`.  A merge still begins with
+    s's generator and is spliced onto a[:-1]; a b that cancels s leaves a
+    rest, which meets a[:-1] in `_join`.  Raises BudgetExceededError once
+    there are more than `budget` distinct products.
     """
     # per last generator of a: the factors spliced on, and those that meet it
     gens = {b[0][0] for b in factors if b}
     splice = {g: [b for b in factors if not b or b[0][0] != g] for g in gens}
     meet = {g: [b for b in factors if b and b[0][0] == g] for g in gens}
+    # per last syllable of a: the merged tails and the rests of the factors
+    # that meet it
+    junction: dict[tuple, tuple[list, list]] = {}
     out: set[tuple] = set()
     for a in current:
         g = a[-1][0] if a else None
-        out.update(map(a.__add__, splice.get(g, factors)))
-        for b in meet.get(g, ()):
-            out.add(_join(orders, a, b))
+        if g in meet:
+            last = a[-1]
+            table = junction.get(last)
+            if table is None:
+                joined = [_join(orders, (last,), b) for b in meet[g]]
+                table = junction[last] = (
+                    [t for t in joined if t and t[0][0] == g],
+                    [t for t in joined if not t or t[0][0] != g],
+                )
+            merged, rests = table
+            head = a[:-1]
+            out.update(map(a.__add__, splice[g]))
+            out.update(map(head.__add__, merged))
+            for rest in rests:
+                out.add(_join(orders, head, rest))
+        else:
+            out.update(map(a.__add__, factors))
         if len(out) > budget:
             raise BudgetExceededError(f"product set exceeded budget of {budget} elements")
     return out
@@ -482,18 +539,18 @@ def product_set(U: ElementSet, n: int, budget: int = 10_000_000) -> ElementSet:
 
     Computed level by level on syllables with `product_level`, which raises
     BudgetExceededError if an intermediate level would exceed `budget`
-    canonical forms; only the last level becomes elements.
+    canonical forms.  The last level is returned as syllables; its
+    elements are built only if the set is iterated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(U) == 0:
         raise ValueError("U must be nonempty")
-    ctx = U.context
-    factors = [u.syllables for u in U]
-    current = set(factors)
+    factors = list(U._members)
+    current = U._members
     for _ in range(n - 1):
-        current = product_level(ctx.orders, current, factors, budget)
-    return ElementSet(ctx, (_element(ctx, s) for s in current))
+        current = product_level(U.context.orders, current, factors, budget)
+    return ElementSet._from_syllables(U.context, current)
 
 
 def safin_family(ctx: PresentationContext, N: int) -> ElementSet:

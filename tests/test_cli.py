@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import jsonschema
 import pytest
 
 import psgrowth
-from psgrowth.cli import CONFIG_SCHEMA, main
+from psgrowth.cli import CONFIG_SCHEMA, ConfigError, main, run_config
 from psgrowth.words import GroupElement
 
 GROWTH_CFG = {
@@ -280,6 +281,92 @@ def test_bad_config_exit_4(tmp_path, cfg, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "min() arg" not in err
+
+
+F2_SPACE = {"backend": "free_group", "rank": 2}
+PRACTICAL = {"name": "practical", "concentration_threshold": "1", "displacement_floor": "1"}
+LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_at", "is_periodic",
+                 "is_biperiodic", "pingpong_certify")
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"command": "growth", "set": {"elements": ["ab", "a!"]}}, "set.elements[1]"),
+        ({"command": "energy", "set": {"elements": ["c"]}}, "set.elements[0]"),
+        ({"command": "period", "set": {"elements": ["ab"]}, "period": {"root": "abz"}},
+         "period.root"),
+        ({"command": "period", "set": {"elements": ["ab"]}, "period": {"root": "aBbA"}},
+         "period.root"),
+        ({"command": "pingpong", "pingpong": {"root": "1", "t": "b"}}, "pingpong.root"),
+        ({"command": "pingpong", "pingpong": {"root": "a-b", "t": "b"}}, "pingpong.root"),
+        ({"command": "pingpong", "pingpong": {"root": "ab", "t": "bc"}}, "pingpong.t"),
+        ({"command": "reduce", "set": {"elements": ["ab"]}, "mode": PRACTICAL,
+          "reduce": {"r": "1/2"}}, "reduce.r"),
+        ({"command": "reduce", "set": {"elements": ["ab"]}, "mode": PRACTICAL,
+          "reduce": {"r": "0"}}, "reduce.r"),
+        ({"command": "reduce", "set": {"elements": ["ab"]}, "mode": PRACTICAL,
+          "reduce": {"r": "-2"}}, "reduce.r"),
+        # rho0 1/2: r = 3/4 is not a whole number of edges
+        ({"command": "reduce", "space": dict(F2_SPACE, rho0="1/2"), "mode": PRACTICAL,
+          "set": {"elements": ["ab"]}, "reduce": {"r": "3/4"}}, "reduce.r"),
+        # paper mode: kappa0 defaults to rho0 = 1, so r = 1 is above kappa0 / 4
+        ({"command": "reduce", "set": {"elements": ["ab"]}, "reduce": {"r": "1"}},
+         "reduce.r"),
+        ({"command": "reduce", "space": dict(F2_SPACE, kappa0="3"),
+          "set": {"elements": ["ab"]}, "reduce": {"r": "1"}}, "reduce.r"),
+    ],
+    ids=["set_bad_character", "set_letter_outside_rank", "period_root_bad_letter",
+         "period_root_identity", "pingpong_root_identity", "pingpong_root_bad_character",
+         "pingpong_t_outside_rank", "reduce_r_half_edge", "reduce_r_zero",
+         "reduce_r_negative", "reduce_r_not_a_multiple_of_rho0", "reduce_r_paper_default_kappa0",
+         "reduce_r_paper_above_kappa0_quarter"],
+)
+def test_config_values_the_library_rejects_are_config_errors(tmp_path, monkeypatch, capsys,
+                                                           cfg, key):
+    # each one reached a library ValueError (or, for a paper-mode radius, ran
+    # outside the paper's r <= kappa0 / 4); now the config is refused, naming
+    # its key, before the library is called
+    for name in LIBRARY_CALLS:
+        monkeypatch.setattr(psgrowth.cli, name,
+                            lambda *args, **kw: pytest.fail("the library was called"))
+    cfg = {"space": F2_SPACE} | cfg
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+        run_config(cfg, tmp_path / "direct")
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "space, mode",
+    [(dict(F2_SPACE, kappa0="4"), {"name": "paper"}), (dict(F2_SPACE, rho0="1/2"), PRACTICAL)],
+    ids=["paper_r_at_kappa0_quarter", "practical_r_two_edges"],
+)
+def test_reduce_radius_at_the_limits_runs(tmp_path, space, mode):
+    cfg = {"command": "reduce", "space": space, "mode": mode,
+           "set": {"kind": "explicit", "elements": ["ab", "ba", "abab", "AB"]},
+           "reduce": {"r": "1"}}
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["reduction"]["tolerance"] == "1"
+
+
+def test_import_does_not_load_numpy():
+    # numpy is imported where a graph is built, tree-approximated or an
+    # exponent fitted, not by the package or the CLI module
+    code = "import sys, psgrowth, psgrowth.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=child_pythonpath()),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_period_command(tmp_path):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psgrowth import words
 from psgrowth.growth import growth_report
 from psgrowth.spaces import FreeGroupTree, FreeProductTree
 from psgrowth.words import (
     BudgetExceededError,
     ElementSet,
     GroupElement,
+    _join,
     cyclic_reduce,
     free_group,
     free_product,
@@ -439,6 +441,40 @@ def test_tuple_levels_match_letter_oracle(case):
     assert growth_report(space, U, n).sizes == {k + 1: len(lv) for k, lv in enumerate(levels)}
 
 
+@st.composite
+def junction_inputs(draw):
+    """A level and its factors as syllable tuples: short words, the identity,
+    inverse pairs, and power families w^-N..w^N of a word w, whose products
+    cancel through several syllables."""
+    name = draw(st.sampled_from(sorted(LEVEL_SPACES)))
+    ctx = LEVEL_SPACES[name].context
+    k = ctx.num_generators
+    alphabet = string.ascii_lowercase[:k] + string.ascii_uppercase[:k]
+    word = st.text(alphabet=alphabet, max_size=6)
+
+    def members():
+        out = [parse(ctx, t) for t in draw(st.lists(word, max_size=4))]
+        if draw(st.booleans()):
+            out.append(ctx.identity())
+        if out and draw(st.booleans()):
+            out.append(draw(st.sampled_from(out)).inverse())
+        if draw(st.booleans()):
+            w = parse(ctx, draw(word))
+            n_big = draw(st.integers(1, 4))
+            out.extend(w**i for i in range(-n_big, n_big + 1))
+        return [m.syllables for m in out]
+
+    return ctx, members(), members()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(junction_inputs())
+def test_level_is_the_set_of_pairwise_joins(case):
+    ctx, current, factors = case
+    want = {_join(ctx.orders, a, b) for a in current for b in factors}
+    assert product_level(ctx.orders, current, factors, max(len(want), 1)) == want
+
+
 def test_budget_boundary_is_the_level_size():
     space = LEVEL_SPACES["Z/5*Z/7"]
     U = ElementSet.from_strings(space.context, ["1", "a", "A", "ab", "bbb"])
@@ -461,6 +497,20 @@ def test_a_level_stores_syllables_not_elements():
     tracemalloc.start()
     try:
         level3 = product_level(F2.orders, level2, factors, 10**7)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / len(level3) < 200
+
+
+def test_a_product_set_stores_syllables_not_elements():
+    # the same seeded F_2 set; the returned set holds one tuple per element
+    # and no element objects until it is iterated
+    rng = random.Random(3)
+    U = ElementSet(F2, [random_reduced_word(rng, F2, rng.randint(4, 8)) for _ in range(50)])
+    tracemalloc.start()
+    try:
+        level3 = product_set(U, 3)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -524,3 +574,53 @@ def test_element_set_dedup_and_strings():
     U = ElementSet.from_strings(F2, ["ab", "ab", "aB"])
     assert len(U) == 2
     assert U.to_strings() == ["aB", "ab"]
+
+
+# ---------------------------------------------------------------------------
+# ElementSet: syllable tuples inside, elements on iteration
+
+
+def test_tuple_built_and_element_built_sets_agree():
+    U = ElementSet.from_strings(Z5Z7, ["1", "a", "aab", "B", "ba"])
+    built = product_set(U, 2)
+    given = ElementSet(Z5Z7, [x * y for x in U for y in U])
+    assert built == given and given == built
+    assert hash(built) == hash(given)
+    assert built.to_strings() == given.to_strings() == [str(x) for x in given]
+    assert list(built) == list(given)
+    assert [str(x) for x in built] == built.to_strings()
+
+
+def test_membership_needs_the_same_context():
+    x, y = parse(F2, "ab"), parse(Z5Z7, "ab")
+    for U in (ElementSet(F2, [x]), product_set(ElementSet(F2, [x]), 1)):
+        assert x in U
+        assert y not in U
+    assert x not in ElementSet(Z5Z7, [y])
+
+
+def test_iteration_yields_the_given_elements():
+    members = [parse(F2, t) for t in ("ab", "A", "1", "bbA")]
+    U = ElementSet(F2, members)
+    assert sorted(map(id, U)) == sorted(map(id, members))
+    assert all(x is y for x, y in zip(U, U))
+
+
+def test_product_set_builds_no_element(monkeypatch):
+    made = []
+    element = words._element
+
+    def counted(ctx, syllables):
+        made.append(syllables)
+        return element(ctx, syllables)
+
+    monkeypatch.setattr(words, "_element", counted)
+    U = safin_family(F2, 3)
+    made.clear()
+    size = len(product_set(U, 3))
+    assert size == 100 and made == []
+    # the count does see elements: iterating builds each one, once
+    P = product_set(U, 3)
+    list(P)
+    list(P)
+    assert len(made) == size
