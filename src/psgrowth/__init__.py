@@ -32,14 +32,7 @@ from .periodicity import (
     pingpong_certify,
     separate,
 )
-from .reduction import (
-    ReductionResult,
-    median_split,
-    reduce_graph,
-    reduce_tree,
-    reduce_via_tree_approx,
-    reduced_at,
-)
+from .reduction import ReductionResult, median_split, reduce_tree, reduced_at
 from .spaces import (
     FiniteHypGraph,
     FreeGroupTree,

@@ -21,8 +21,8 @@ from . import acceptance
 from .energy import Case, Mode, classify, minimize_energy
 from .growth import concentrated_pipeline, diffuse_pipeline, exponent_fit, growth_report
 from .periodicity import is_biperiodic, is_periodic, pingpong_certify
-from .reduction import median_split, reduce_at
-from .spaces import FreeGroupTree, FreeProductTree, load_graph
+from .reduction import median_split, reduce_tree
+from .spaces import NO_HYPERBOLIC_ELEMENT, FreeGroupTree, FreeProductTree, load_graph
 from .treeapprox import approximate_tree, distortion_report
 from .words import (
     BudgetExceededError,
@@ -180,15 +180,16 @@ def _root_at(ctx, text: str, key: str):
 
 
 def _reduce_radius(cfg: dict, space, mode: Mode):
-    """`reduce.r`, checked as the tree reduction checks it: a positive
-    multiple of rho0, and at most kappa0 / 4 in paper mode."""
-    r = _frac(cfg.get("reduce", {}).get("r"))
-    if r is None:
-        return None
+    """`reduce.r`, default rho0, checked as the tree reduction checks it: a
+    positive multiple of rho0, and at most kappa0 / 4 in paper mode."""
+    r = _frac(cfg.get("reduce", {}).get("r"), space.rho0)
     if r <= 0 or (r / space.rho0).denominator != 1:
         raise ConfigError(f"reduce.r: {r} is not a positive multiple of rho0 = {space.rho0}")
     if mode.name == "paper" and r > space.kappa0 / 4:
-        raise ConfigError(f"reduce.r: paper mode needs r <= kappa0 / 4 = {space.kappa0 / 4}")
+        raise ConfigError(
+            f"reduce.r: paper mode needs r <= kappa0 / 4 = {space.kappa0 / 4} "
+            f"(the default r is rho0 = {space.rho0})"
+        )
     return r
 
 
@@ -298,7 +299,13 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     command = cfg["command"]
     seed = cfg.get("seed", 0)
     budget = cfg.get("budget", 10_000_000)
-    if cfg["space"]["backend"] == "graph" and "graph" in cfg["space"]:
+    # refusals by backend come first: they hold for a space of any size
+    on_graph = cfg["space"]["backend"] == "graph"
+    if command == "treeapprox" and not on_graph:
+        raise ConfigError("treeapprox needs the graph backend")
+    if command in ("reduce", "period", "pingpong") and on_graph:
+        raise ConfigError(f"{command} needs a hyperbolic element, and {NO_HYPERBOLIC_ELEMENT}")
+    if on_graph and "graph" in cfg["space"]:
         # the four-point delta scans every vertex quadruple: n^4 time
         n = cfg["space"]["graph"]["vertices"]
         if n**4 > budget:
@@ -308,13 +315,6 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     if size > budget:
         raise BudgetExceededError(f"building the set takes {size} > {budget} units")
     space = build_space(cfg)
-    if command == "treeapprox" and space.is_tree:
-        raise ConfigError("treeapprox needs the graph backend")
-    if command in ("period", "pingpong") and not space.is_tree:
-        raise ConfigError(
-            f"{command} needs a hyperbolic element, and a finite graph has no "
-            "hyperbolic element: every isometry of it has finite order"
-        )
     mode = build_mode(cfg)
     report: dict = {"config_echo": cfg, "command": command}
     exit_code = EXIT_OK
@@ -386,7 +386,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         U = build_set(cfg, space, seed)
         prof = minimize_energy(space, U)
         x0 = prof.base_point
-        res = reduce_at(space, U, x0, r)
+        res = reduce_tree(space, U, x0, r)
         report["reduction"] = res.as_dict()
         if not res.failed:
             out1, out2 = median_split(space, res.u1, res.u2, x0)

@@ -26,8 +26,8 @@ from .periodicity import (
     pingpong_certify,
     separate,
 )
-from .reduction import median_split, reduce_at
-from .spaces import ActionSpace
+from .reduction import median_split, reduce_tree
+from .spaces import NO_HYPERBOLIC_ELEMENT, ActionSpace
 from .words import (
     BudgetExceededError,
     ElementSet,
@@ -67,29 +67,28 @@ class AlphaConstants:
 
 
 def virtually_cyclic_reason(space: ActionSpace, U: ElementSet) -> Optional[str]:
-    """A reason string when U visibly sits in a virtually cyclic subgroup
-    (common primitive root up to inversion, a global dihedral context, or a
-    common fixed vertex on a tree), else None."""
+    """A reason string when U visibly sits in a virtually cyclic subgroup,
+    else None.  On a finite graph it always does: <U> acts through the
+    finite isometry group of the graph.  On a tree: a common primitive root
+    up to inversion, a global dihedral context, or a common fixed vertex."""
+    if not space.is_tree:
+        return NO_HYPERBOLIC_ELEMENT
     ctx = U.context
     if ctx.kind == "free_product" and tuple(ctx.orders) == (2, 2):
         return "Z/2 * Z/2 is infinite dihedral (virtually cyclic)"
     nontrivial = [u for u in U if not u.is_identity]
     if not nontrivial:
         return "U contains only the identity"
-    if space.is_tree:
-        hyp = []
-        for u in nontrivial:
-            if translation_length(space, u).is_hyperbolic:
-                hyp.append(u)
-        if not hyp:
-            # all elliptic: common fixed vertex <=> zero energy at a vertex
-            prof = minimize_energy(space, U)
-            if prof.energy == 0:
-                return "U fixes a vertex (elliptic subgroup)"
-            return None
-        root, _ = primitive_root(hyp[0])
-        if all(power_of(u, root) is not None for u in U):
-            return f"all elements are powers of {root}"
+    hyp = [u for u in nontrivial if translation_length(space, u).is_hyperbolic]
+    if not hyp:
+        # all elliptic: common fixed vertex <=> zero energy at a vertex
+        prof = minimize_energy(space, U)
+        if prof.energy == 0:
+            return "U fixes a vertex (elliptic subgroup)"
+        return None
+    root, _ = primitive_root(hyp[0])
+    if all(power_of(u, root) is not None for u in U):
+        return f"all elements are powers of {root}"
     return None
 
 
@@ -263,7 +262,12 @@ def concentrated_pipeline(
     Paper mode uses threshold kappa0, witness floor 10^4 kappa0, offset
     500 kappa0, spacing 42 kappa0; practical mode scales all of these from
     the concentration threshold T (witness floor 4 max(T, rho0), offset
-    rho0, spacing > 0), and the chain margin check remains the gate."""
+    rho0, spacing > 0), and the chain margin check remains the gate.
+
+    On a finite graph it stops before the chain: no element there is
+    hyperbolic."""
+    if not space.is_tree:
+        return ConcentratedOutcome(False, 0, 0, None, {}, NO_HYPERBOLIC_ELEMENT)
     if mode.name == "paper":
         T = space.kappa0
         witness_floor = 10**4 * space.kappa0
@@ -388,7 +392,8 @@ def diffuse_pipeline(
     counting_c: Fraction = Fraction(2),
     budget: int = 500_000,
 ) -> DiffuseOutcome:
-    """The diffuse-energy route: reduction -> median split -> W_l counting;
+    """The diffuse-energy route: reduction (the tree sphere peel at radius
+    r, default rho0) -> median split -> W_l counting;
     periodic middles route through period extraction, bi-periodicity, and
     the ping-pong growth of the coset.
 
@@ -415,7 +420,8 @@ def diffuse_pipeline(
     else:
         hypothesis_floor = mode.concentration_threshold
 
-    red = reduce_at(space, U, x0, r, hypothesis_displacement=hypothesis_floor)
+    r = space.rho0 if r is None else r
+    red = reduce_tree(space, U, x0, r, hypothesis_displacement=hypothesis_floor)
     known["reduction"] = red.as_dict()
     if red.failed:
         return refuse("Failed", red.reason)

@@ -76,8 +76,8 @@ class ActionSpace:
     # exists
     is_tree = False
 
-    # subclasses implement: hops, act, geodesic, point_at, ball_size,
-    # basepoint, check_point, point_key, encode_point, translation_length;
+    # subclasses implement: hops, act, geodesic, point_at, basepoint,
+    # check_point, point_key, encode_point, translation_length;
     # FreeGroupTree alone lists a sphere (of the whole free group)
 
     def _set_scale(self, rho0, kappa0, N0) -> None:
@@ -227,13 +227,6 @@ class FreeGroupTree(ActionSpace):
                 stack.append((v * l, (g, s), depth + 1))
         return sorted(out, key=self.point_key)
 
-    def ball_size(self, x, r) -> int:
-        """|B(x, r)|: vertex count of the closed ball (valence is uniform,
-        so this is a closed form independent of x)."""
-        k = self.steps(r)
-        m = self.context.rank
-        return 1 + sum(2 * m * (2 * m - 1) ** (j - 1) for j in range(1, k + 1))
-
 
 class FreeProductTree(ActionSpace):
     """Bass-Serre tree of a free product of two cyclic factors.
@@ -368,21 +361,12 @@ class FreeProductTree(ActionSpace):
             raise RuntimeError("free product translation length mismatch")
         return AxisData(g, length, True, tuple(self.geodesic(anchor, end)), anchor)
 
-    def ball_size(self, x, r) -> int:
-        """|B(x, r)| in closed form (finite factors only): a vertex of tag t
-        has orders[t] neighbours, each later vertex one fewer than its
-        factor's order children, and the tags alternate level by level."""
-        k = self.steps(r)
-        total = level = 1
-        tag = x[1]
-        for depth in range(k):
-            order = self.context.orders[tag]
-            if order is None:
-                raise ValueError("infinite factor: the vertex link is infinite")
-            level *= order if depth == 0 else order - 1
-            total += level
-            tag = 1 - tag
-        return total
+
+# why a finite graph gets no product-set certificate: its orbits are bounded,
+# so none of its isometries is loxodromic
+NO_HYPERBOLIC_ELEMENT = (
+    "a finite graph has no hyperbolic element: every isometry of it has finite order"
+)
 
 
 class FiniteHypGraph(ActionSpace):
@@ -562,10 +546,6 @@ class FiniteHypGraph(ActionSpace):
         permutes finitely many vertices, so it has finite order."""
         least, argmin = min((self.hops(v, self.act(g, v)), v) for v in range(self.n))
         return AxisData(g, least * self.rho0, False, min_point=argmin)
-
-    def ball_size(self, x, r) -> int:
-        k = self.steps(r)
-        return int((self._hops[x] <= k).sum())
 
 
 def estimate_delta(space: FiniteHypGraph) -> Fraction:

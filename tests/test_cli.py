@@ -11,6 +11,7 @@ import pytest
 
 import psgrowth
 from psgrowth.cli import CONFIG_SCHEMA, ConfigError, main, run_config
+from psgrowth.spaces import NO_HYPERBOLIC_ELEMENT
 from psgrowth.words import GroupElement
 
 GROWTH_CFG = {
@@ -206,18 +207,35 @@ C9 = {
 }
 
 
+# 60^4 vertex quadruples are above the default budget's n^4 cap
+C60 = {
+    "backend": "graph",
+    "graph": {
+        "vertices": 60,
+        "edges": [[i, (i + 1) % 60] for i in range(60)],
+        "generators": [[(i + 1) % 60 for i in range(60)]],
+    },
+}
+
+
 @pytest.mark.parametrize(
     "command, section",
     [
         ("pingpong", {"pingpong": {"root": "a", "t": "aab", "powers": [1, 2], "n": 2}}),
         ("period", {"set": {"elements": ["a", "aa"]}, "period": {"root": "a"}}),
         ("period", {"set": {"elements": ["a", "aa"]}}),
+        ("reduce", {"set": {"elements": ["a", "aa"]}}),
+        ("pingpong", {"space": C60, "pingpong": {"root": "a", "t": "aa"}}),
+        ("period", {"space": C60, "set": {"elements": ["a"]}}),
+        ("reduce", {"space": C60, "set": {"elements": ["a"]}}),
     ],
-    ids=["pingpong", "period_root", "biperiodic"],
+    ids=["pingpong", "period_root", "biperiodic", "reduce", "pingpong_above_the_size_cap",
+         "period_above_the_size_cap", "reduce_above_the_size_cap"],
 )
 def test_graph_has_no_hyperbolic_element(tmp_path, capsys, command, section):
-    # the rotation of C_9 moves every vertex but has order 9, so neither
-    # command has an element to work with
+    # the rotation of C_9 moves every vertex but has order 9, so no command
+    # that certifies product-set growth has an element to work with; the
+    # refusal holds for a graph of any size, so it comes before the size cap
     cfg = {"command": command, "space": C9} | section
     p = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -226,6 +244,22 @@ def test_graph_has_no_hyperbolic_element(tmp_path, capsys, command, section):
     assert "a finite graph has no hyperbolic element" in err
     assert "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+def test_graph_growth_is_not_applicable(tmp_path):
+    # <U> acts on C_9 through a finite group: the counts are reported, but no
+    # bound is claimed and no case split or pipeline runs
+    cfg = {"command": "growth", "space": C9, "set": {"elements": ["a", "b"]}, "n_max": 3}
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["growth"]["not_applicable"] == NO_HYPERBOLIC_ELEMENT
+    assert rep["growth"]["violations"] == []
+    # counted in the free group on the two generators: positive words
+    assert rep["growth"]["sizes"] == {"1": 2, "2": 4, "3": 8}
+    assert "profile" not in rep and "pipeline" not in rep
+    assert rep["certificates"] == []
 
 
 PATH_GRAPH = {
@@ -285,7 +319,7 @@ def test_bad_config_exit_4(tmp_path, cfg, capsys):
 
 F2_SPACE = {"backend": "free_group", "rank": 2}
 PRACTICAL = {"name": "practical", "concentration_threshold": "1", "displacement_floor": "1"}
-LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_at", "is_periodic",
+LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_tree", "is_periodic",
                  "is_biperiodic", "pingpong_certify")
 
 
@@ -315,12 +349,16 @@ LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_at", "is_periodic",
          "reduce.r"),
         ({"command": "reduce", "space": dict(F2_SPACE, kappa0="3"),
           "set": {"elements": ["ab"]}, "reduce": {"r": "1"}}, "reduce.r"),
+        # paper mode with no reduce.r: the default r = rho0 = 1 is above
+        # kappa0 / 4 = 1/4
+        ({"command": "reduce", "set": {"kind": "random", "count": 80, "max_length": 8},
+          "seed": 11}, "reduce.r"),
     ],
     ids=["set_bad_character", "set_letter_outside_rank", "period_root_bad_letter",
          "period_root_identity", "pingpong_root_identity", "pingpong_root_bad_character",
          "pingpong_t_outside_rank", "reduce_r_half_edge", "reduce_r_zero",
          "reduce_r_negative", "reduce_r_not_a_multiple_of_rho0", "reduce_r_paper_default_kappa0",
-         "reduce_r_paper_above_kappa0_quarter"],
+         "reduce_r_paper_above_kappa0_quarter", "reduce_r_paper_default_rho0"],
 )
 def test_config_values_the_library_rejects_are_config_errors(tmp_path, monkeypatch, capsys,
                                                            cfg, key):
@@ -352,6 +390,19 @@ def test_reduce_radius_at_the_limits_runs(tmp_path, space, mode):
     p = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["--config", str(p), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["reduction"]["tolerance"] == "1"
+
+
+def test_reduce_radius_defaults_to_rho0(tmp_path):
+    # paper mode: the default r = rho0 = 1 is refused at kappa0 = 1 with the
+    # default named, and runs at kappa0 = 4
+    cfg = {"command": "reduce", "space": F2_SPACE,
+           "set": {"kind": "explicit", "elements": ["ab", "ba", "abab", "AB"]}}
+    with pytest.raises(ConfigError, match=r"\(the default r is rho0 = 1\)$"):
+        run_config(cfg, tmp_path / "refused")
+    cfg["space"] = dict(F2_SPACE, kappa0="4")
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 0
     assert json.loads((out / "report.json").read_text())["reduction"]["tolerance"] == "1"
 
 

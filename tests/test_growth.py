@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from psgrowth import growth
 from psgrowth.energy import Mode, minimize_energy
 from psgrowth.growth import (
     AlphaConstants,
@@ -16,7 +17,7 @@ from psgrowth.growth import (
     virtually_cyclic_reason,
 )
 from psgrowth.reduction import median_split, reduce_tree
-from psgrowth.spaces import FreeGroupTree, cycle_graph
+from psgrowth.spaces import NO_HYPERBOLIC_ELEMENT, FreeGroupTree, cycle_graph
 from psgrowth.words import ElementSet, random_reduced_word, safin_family
 
 from conftest import digest, w
@@ -253,6 +254,22 @@ def test_diffuse_pipeline_counting_set_at_n5(f2_tree):
     W = {a * b * c for a, b, c in itertools.product(U1, U2, U1)}
     assert out.sizes["U1"] == len(U1)
     assert out.sizes["W"] == len(W) == 18
+
+
+def test_pipelines_refuse_a_finite_graph(monkeypatch):
+    # the rotation and its square move every vertex of C_9, but have finite
+    # order: both pipelines stop with the reason before any geometry runs
+    for name in ("reduce_tree", "minimize_energy"):
+        monkeypatch.setattr(growth, name, lambda *a, name=name, **kw: pytest.fail(name))
+    c9 = cycle_graph(9)
+    U = eset(c9, "a", "aa", "aaaa")
+    assert virtually_cyclic_reason(c9, U) == NO_HYPERBOLIC_ELEMENT
+    out = diffuse_pipeline(c9, U, PRACTICAL, n=3)
+    assert (out.branch, out.certified) == ("NotApplicable", False)
+    assert out.reason == NO_HYPERBOLIC_ELEMENT
+    assert out.reduction is None
+    out = concentrated_pipeline(c9, U, 0, PRACTICAL)
+    assert (out.certified, out.reason) == (False, NO_HYPERBOLIC_ELEMENT)
 
 
 def test_diffuse_pipeline_counting_c_guard(f2_tree):

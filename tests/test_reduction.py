@@ -6,16 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psgrowth.energy import minimize_energy
-from psgrowth.reduction import (
-    certify_cross_products,
-    median_split,
-    reduce_at,
-    reduce_graph,
-    reduce_tree,
-    reduce_via_tree_approx,
-    reduced_at,
-)
-from psgrowth.spaces import FiniteHypGraph, cycle_graph
+from psgrowth.reduction import certify_cross_products, median_split, reduce_tree, reduced_at
 from psgrowth.words import ElementSet, random_reduced_word, safin_family
 
 from conftest import TREES, w
@@ -136,129 +127,6 @@ def test_reduce_tree_free_product(z5z7_tree):
     res = reduce_tree(t, U, x0, t.rho0)
     if not res.failed:
         assert res.certified
-
-
-# ---------------------------------------------------------------------------
-# reduce_graph
-
-
-def ball_graph_f2(radius=4):
-    """The ball of radius `radius` in the F2 Cayley tree, as a finite graph
-    with the two generator translations... translations do not preserve a
-    ball, so no group action: used for metric-only paths."""
-    from psgrowth.spaces import FreeGroupTree
-
-    tree = FreeGroupTree(2)
-    verts = [tree.basepoint()]
-    for r in range(1, radius + 1):
-        verts.extend(tree.sphere(tree.basepoint(), r))
-    index = {tree.point_key(v): i for i, v in enumerate(verts)}
-    edges = []
-    for v in verts:
-        for s in tree.sphere(v, 1):
-            if tree.point_key(s) in index:
-                i, j = index[tree.point_key(v)], index[tree.point_key(s)]
-                if i < j:
-                    edges.append((i, j))
-    return FiniteHypGraph(len(verts), edges), verts, index, tree
-
-
-def test_reduce_graph_tree_as_graph_agrees(f2_tree):
-    # permutation action on a ball is impossible; instead compare the two
-    # code paths on the same tree: reduce_tree on F2 vs reduce_graph on a
-    # 6-cycle-free tree graph with a genuine automorphism action
-    edges = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]
-    # automorphism swapping the three arms cyclically: 1->3->5->1 etc
-    perm = [0, 3, 4, 5, 6, 1, 2]
-    g = FiniteHypGraph(7, edges, [perm])
-    assert g.delta == 0
-    U = ElementSet(g.context, [g.context.generator(0), g.context.generator(0) ** 2])
-    res = reduce_graph(g, U, 1)  # base at a leaf-ish vertex: displacements > 0
-    # tiny U: whatever branch, the result must be either certified or Failed
-    assert res.failed or res.certified
-
-
-def test_reduce_graph_too_small(f2_tree):
-    edges = [(0, 1)]
-    g = FiniteHypGraph(2, edges, [[1, 0]])
-    U = ElementSet(g.context, [g.context.generator(0)])
-    assert reduce_graph(g, U, 0).reason == "TooSmall"
-
-
-def test_reduce_graph_on_free_group_tree(f2_tree):
-    # the Cayley tree is itself a bounded-geometry graph: the pair search
-    # certifies with b = |B(x0, 1)| = 5, and agrees with the peeling route
-    # on the same diffuse set at the same tolerance
-    rng = random.Random(68)
-    U = random_diffuse_set(rng, f2_tree.context, 120)
-    x0 = minimize_energy(f2_tree, U).base_point
-    via_pairs = reduce_graph(f2_tree, U, x0)
-    assert not via_pairs.failed, via_pairs.reason
-    assert via_pairs.certified
-    assert via_pairs.counts["b"] == 5
-    assert 100 * 25 * len(via_pairs.u1) >= len(U)  # >= |U| / (100 b^2)
-    via_peel = reduce_tree(f2_tree, U, x0, 1)
-    assert via_peel.certified
-    assert via_pairs.tolerance == via_peel.tolerance == f2_tree.rho0
-
-
-def test_reduce_graph_on_free_product_tree(z2z3_tree):
-    t = z2z3_tree
-    # base is a Z/2-coset vertex (degree 2); its neighbors have degree 3
-    assert t.ball_size(t.basepoint(), 2) == 1 + 2 + 2 * 2
-    rng = random.Random(69)
-    members = set()
-    while len(members) < 40:
-        word = ""
-        for _ in range(rng.randint(2, 5)):
-            word += "a" + "b" * rng.randint(1, 2)
-        members.add(w(t, word))
-    U = ElementSet(t.context, members)
-    x0 = minimize_energy(t, U).base_point
-    res = reduce_graph(t, U, x0)
-    assert res.failed or res.certified
-
-
-def test_reduce_at_takes_the_route_of_the_backend(f2_tree):
-    rng = random.Random(70)
-    U = random_diffuse_set(rng, f2_tree.context, 60)
-    x0 = minimize_energy(f2_tree, U).base_point
-    assert reduce_at(f2_tree, U, x0).as_dict() == reduce_tree(f2_tree, U, x0, 1).as_dict()
-    assert (
-        reduce_at(f2_tree, U, x0, 2, hypothesis_displacement=3).as_dict()
-        == reduce_tree(f2_tree, U, x0, 2, hypothesis_displacement=3).as_dict()
-    )
-    path = FiniteHypGraph(9, [(i, i + 1) for i in range(8)], [list(range(8, -1, -1))])
-    assert path.delta == 0
-    V = eset(path, "a", "aa", "aaa")
-    for x in (0, 4):
-        assert reduce_at(path, V, x).as_dict() == reduce_graph(path, V, x).as_dict()
-    c8 = cycle_graph(8)
-    assert c8.delta > 0
-    V = eset(c8, "a", "aa", "aaa")
-    via = reduce_at(c8, V, 0).as_dict()
-    assert via == reduce_via_tree_approx(c8, V, 0).as_dict()
-    assert via != reduce_graph(c8, V, 0).as_dict()
-
-
-# ---------------------------------------------------------------------------
-# reduce_via_tree_approx
-
-
-def test_reduce_via_tree_approx_degenerates_on_trees(f2_tree):
-    rng = random.Random(64)
-    U = random_diffuse_set(rng, f2_tree.context, 80)
-    x0 = minimize_energy(f2_tree, U).base_point
-    res_tree = reduce_tree(f2_tree, U, x0, 1)
-    res_approx = reduce_via_tree_approx(f2_tree, U, x0)
-    assert not res_approx.failed
-    assert res_approx.certified
-    assert not res_tree.failed
-
-
-def test_reduce_via_tree_approx_single_element(f2_tree):
-    U = eset(f2_tree, "abab")
-    assert reduce_via_tree_approx(f2_tree, U, f2_tree.basepoint()).reason == "TooSmall"
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +269,13 @@ def test_certify_fast_path_matches_generic_oracle(
 
 
 # ---------------------------------------------------------------------------
-# every exit of the three routes, pinned on one small input each
+# every exit of the tree peel, pinned on one small input each
 
 F2 = TREES["F2"]
 ONE = F2.basepoint()
-C8 = cycle_graph(8)
 # 99 words of lengths 2..4 and one of length 8: at r = 2 only the long one
 # moves 1 at least 4r, and one element never carries more than |U| / 100
 SHORT = [str(v) for k in (2, 3, 4) for v in F2.sphere(ONE, k)][:99]
-DIAGONAL = [f"aaaaa{'b' * k}AAAAA" for k in range(1, 6)] + [
-    f"bbbbb{'a' * k}BBBBB" for k in range(1, 6)
-]
 
 
 def failed(reason, tolerance="1", **counts):
@@ -479,33 +343,6 @@ EXITS = {
     ),
     "tree-TooSmall": (
         lambda: reduce_tree(F2, eset(F2), ONE, 1), failed("TooSmall"), [], [],
-    ),
-    "pairs-far_pair": (
-        lambda: reduce_graph(F2, eset(F2, "aaab", "bbba"), ONE),
-        certified("SphereGraph", "far_pair", 1, 1, {"b": 5, "qualifying": 2, "u1": 1}, []),
-        ["aaab"], ["aaab"],
-    ),
-    "pairs-diagonal_pairs": (
-        lambda: reduce_graph(F2, eset(F2, *DIAGONAL), ONE),
-        certified("SphereGraph", "diagonal_pairs", 5, 5,
-                  {"b": 5, "qualifying": 10, "u1": 5, "u2": 5}, []),
-        DIAGONAL[:5], DIAGONAL[5:],
-    ),
-    "pairs-BasePointNotMinimal": (
-        lambda: reduce_graph(F2, eset(F2, "abbbA", "abbbbA", "aBBBA"), ONE),
-        failed("BasePointNotMinimal", near_diagonal_mass=3, total=3), [], [],
-    ),
-    "approx-certified": (
-        lambda: reduce_via_tree_approx(F2, eset(F2, "aaab", "bbba", "abbb", "baaa"), ONE),
-        certified("ViaTreeApprox", "cross_BA", 2, 2, {"qualifying": 4, "u1": 2, "u2": 2},
-                  [peeled("(0,)", 0, 2, 0)]),
-        ["aaab", "abbb"], ["aaab", "abbb"],
-    ),
-    # on C_8 (delta = 2) the working radius 1000 log2(6) delta rounds up to
-    # 5171 edges, far beyond any displacement
-    "approx-ConcentratedOrBelow": (
-        lambda: reduce_via_tree_approx(C8, eset(C8, "a", "aa", "aaa"), 0),
-        failed("ConcentratedOrBelow", tolerance="5171", qualifying=0, total=3), [], [],
     ),
 }
 
