@@ -7,7 +7,17 @@ instead of materializing them we compare exactly through integer powers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+
+def to_float(x: Fraction) -> float:
+    """x as a float for a display, or math.inf where x is too large for one
+    (where `float(x)` raises)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def leq_log2(q: Fraction, n: int) -> bool:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .energy import Case, EnergyProfile, Mode, classify, minimize_energy
-from .exactmath import log2_upper
+from .exactmath import log2_upper, to_float
 from .hypgeom import translation_length
 from .periodicity import (
     BiPeriodicWitness,
@@ -32,10 +32,12 @@ from .words import (
     BudgetExceededError,
     ElementSet,
     GroupElement,
+    free_product,
     power_of,
     primitive_root,
-    product_level,
+    product,
     product_set,
+    product_sizes,
 )
 
 
@@ -73,8 +75,7 @@ def virtually_cyclic_reason(space: ActionSpace, U: ElementSet) -> Optional[str]:
     up to inversion, a global dihedral context, or a common fixed vertex."""
     if not space.is_tree:
         return NO_HYPERBOLIC_ELEMENT
-    ctx = U.context
-    if ctx.kind == "free_product" and tuple(ctx.orders) == (2, 2):
+    if U.context == free_product(2, 2):
         return "Z/2 * Z/2 is infinite dihedral (virtually cyclic)"
     nontrivial = [u for u in U if not u.is_identity]
     if not nontrivial:
@@ -153,21 +154,16 @@ def growth_report(
     bounds = {}
     violations = []
     truncated = False
-    factors = [u.syllables for u in U]
-    current = set(factors)
-    for k in range(1, n_max + 1):
-        if k > 1:
-            try:
-                current = product_level(U.context.orders, current, factors, budget)
-            except BudgetExceededError:
-                truncated = True
-                break
-        sizes[k] = len(current)
-        bounds[k] = (alpha * len(U)) ** ((k + 1) // 2)
-        if reason is None and sizes[k] < bounds[k]:
-            violations.append(f"|U^{k}| = {sizes[k]} < bound {bounds[k]}")
+    try:
+        for k, size in enumerate(product_sizes([U] * n_max, budget), 1):
+            sizes[k] = size
+            bounds[k] = (alpha * len(U)) ** ((k + 1) // 2)
+            if reason is None and size < bounds[k]:
+                violations.append(f"|U^{k}| = {size} < bound {bounds[k]}")
+    except BudgetExceededError:
+        truncated = True
 
-    entropy_display = 0.5 * math.log(float(alpha) * len(U)) if len(U) else 0.0
+    entropy_display = _half_log(alpha, len(U)) if len(U) else 0.0
     prof = classify(space, U, minimize_energy(space, U), mode) if reason is None else None
     trace = []
     if prof is not None:
@@ -184,6 +180,16 @@ def growth_report(
         violations=violations,
         profile=prof,
     )
+
+
+def _half_log(alpha: Fraction, size: int) -> float:
+    """1/2 log(alpha size) for a display: from the float product where that is
+    a positive finite float, else from the exact numerator and denominator,
+    whose logs `math.log` takes at any size."""
+    x = to_float(alpha) * size
+    if 0 < x < math.inf:
+        return 0.5 * math.log(x)
+    return 0.5 * (math.log(alpha.numerator * size) - math.log(alpha.denominator))
 
 
 def entropy_bound_holds(sizes: dict, alpha: Fraction, u_size: int) -> bool:
@@ -317,14 +323,12 @@ def concentrated_pipeline(
 
     sizes = {}
     if ok:
-        words = [(u * v).syllables for u in u2]
-        current = set(words)
-        sizes[1] = len(current)
-        k = 1
-        while k < (n_max + 1) // 2 + 1 and len(current) * len(words) <= budget:
-            current = product_level(U.context.orders, current, words, budget)
-            k += 1
-            sizes[k] = len(current)
+        chain = ElementSet(U.context, [u * v for u in u2])
+        for k, size in enumerate(product_sizes([chain] * ((n_max + 1) // 2 + 1), budget), 1):
+            sizes[k] = size
+            # stop before a level that could pass the budget
+            if size * len(chain) > budget:
+                break
         expected = {kk: len(u2) ** kk for kk in sizes}
         if sizes != expected:
             raise RuntimeError(
@@ -430,14 +434,7 @@ def diffuse_pipeline(
     U1, U2 = median_split(space, red.u1, red.u2, x0)
 
     l = (n + 1) // 2
-    W = U1
-    if l > 2:
-        u1 = [u.syllables for u in U1]
-        u2 = [u.syllables for u in U2]
-        w = set(u1)
-        for _ in range(l - 2):
-            w = product_level(ctx.orders, product_level(ctx.orders, w, u2, budget), u1, budget)
-        W = ElementSet._from_syllables(ctx, w)
+    W = product([U1] + [U2, U1] * (l - 2), budget)
 
     consts = AlphaConstants.for_space(space)
     counting = known["counting"] = {}

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .hypgeom import AxisData, Constants, axis_distance, translation_length
 from .spaces import ActionSpace
-from .words import ElementSet, GroupElement, power_of, primitive_root, product_level
+from .words import ElementSet, GroupElement, power_of, primitive_root, product_sizes
 
 
 @dataclass(frozen=True)
@@ -456,12 +456,8 @@ def pingpong_certify(
         Check("chain_margin", max_product, min_step / 2, certified)
     )
 
-    words = [(v * t).syllables for v in members]
-    level = set(words)
-    counts = {1: len(level)}
-    for k in range(2, n + 1):
-        level = product_level(t.context.orders, level, words, budget)
-        counts[k] = len(level)
+    chain = ElementSet(t.context, [v * t for v in members])
+    counts = dict(enumerate(product_sizes([chain] * n, budget), 1))
     expected = {k: len(members) ** k for k in counts}
     counts_ok = counts == expected
     if certified and not counts_ok:

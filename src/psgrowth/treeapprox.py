@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath import within_log_bound
+from .exactmath import to_float, within_log_bound
 from .spaces import ActionSpace
 
 _INF = Fraction(10**30)  # sentinel: larger than any hull diameter here
@@ -190,7 +190,7 @@ class DistortionReport:
     delta: Fraction
     n_leaves: int
     leg_isometry_ok: bool
-    bound_display: float
+    bound_display: Optional[float]
 
     def as_dict(self) -> dict:
         return {
@@ -235,7 +235,9 @@ def distortion_report(approx: ApproximationTree) -> DistortionReport:
     leg_iso = all(d == 2 * space.hops(approx.x0, p) for p, d in zip(points, depths))
     within = approx.distortion_bound_holds(max_shrink)
     n = max(approx.n_leaves, 1)
-    bound_display = float(2 * approx.space.delta) * (math.log2(n) + 1)
+    bound = to_float(2 * approx.space.delta) * (math.log2(n) + 1)
+    # a bound beyond the float range has no display: null, never Infinity
+    bound_display = bound if bound < math.inf else None
     return DistortionReport(
         max_shrink=max_shrink,
         expansion_found=expansion,

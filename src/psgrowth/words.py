@@ -5,19 +5,22 @@ random reduced words.
 Elements are stored in canonical normal form as run-length syllable tuples,
 so structural equality coincides with equality in the group.  A product
 cancels and merges only where its two normal forms meet and splices the
-rest, sharing the factors' syllable tuples; product-set levels are sets of
-such tuples.  Serialization uses compact
+rest, sharing the factors' syllable tuples.  Product sets U_1 U_2 ... U_m
+of ElementSets are made level by level by one lazy driver, `product` for
+the set and `product_sizes` for the level sizes; its levels are sets of
+syllable tuples, which no other module sees.  Serialization uses compact
 letter strings: generators are ``a..z``, inverses ``A..Z``
 ("abA" = a * b * a^-1).
 """
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 FREE = "free"
 FREE_PRODUCT = "free_product"
@@ -355,20 +358,22 @@ def cyclic_reduce(a: GroupElement) -> tuple[GroupElement, GroupElement]:
 def primitive_root(a: GroupElement) -> tuple[GroupElement, int]:
     """Largest k with a = root**k; the root is not a proper power.
 
-    For free products, torsion elements (single-syllable cores) are
-    returned as their own root with power 1.
+    A core of one syllable g^e of an infinite factor has root g or g^-1 and
+    power |e|.  For free products, torsion elements (a core of one syllable
+    of a finite factor) are returned as their own root with power 1.
     """
     if a.is_identity:
         raise ValueError("identity has no primitive root")
     core, conj = cyclic_reduce(a)
     ctx = a.context
 
-    if ctx.kind == FREE:
-        items = core.letters()
-    else:
-        if core.syllable_count <= 1:
+    if core.syllable_count == 1:
+        (g, e), = core.syllables
+        if ctx.order_of(g) is not None:
             return a, 1
-        items = core.syllables
+        root_core = _element(ctx, ((g, 1 if e > 0 else -1),))
+        return conj * root_core * conj.inverse(), abs(e)
+    items = core.letters() if ctx.kind == FREE else core.syllables
 
     n = len(items)
     for d in range(1, n + 1):
@@ -388,11 +393,24 @@ def primitive_root(a: GroupElement) -> tuple[GroupElement, int]:
 
 
 def power_of(a: GroupElement, root: GroupElement) -> Optional[int]:
-    """The integer k with a = root**k, or None if there is none."""
+    """The integer k with a = root**k, or None if there is none.
+
+    For a root of finite order the least such k >= 0 is returned."""
     if a.is_identity:
         return 0
     if root.is_identity:
         return None
+    core, conj = cyclic_reduce(root)
+    n = root.context.order_of(core.first_factor()) if core.syllable_count == 1 else None
+    if n is not None:
+        # root = conj g^e conj^-1 and root**k = conj g^(k e mod n) conj^-1:
+        # solve k e = f mod n, which needs gcd(e, n) | f
+        (g, e), = core.syllables
+        d = math.gcd(e, n)
+        target = (conj.inverse() * a * conj).syllables
+        if len(target) != 1 or target[0][0] != g or target[0][1] % d:
+            return None
+        return target[0][1] // d * pow(e // d, -1, n // d) % (n // d)
     ra, ka = primitive_root(a)
     rr, kr = primitive_root(root)
     if ra == rr:
@@ -486,71 +504,83 @@ class ElementSet:
         return cls(ctx, (parse(ctx, t) for t in texts))
 
 
-def product_level(
-    orders: tuple, current: Iterable[tuple], factors: Sequence[tuple], budget: int
-) -> set[tuple]:
-    """The distinct products a * b for a in `current` and b in `factors`, all
-    given and returned as normal-form syllable tuples over a context with
-    these `orders`.
+def _levels(sets: Sequence[ElementSet], budget: int) -> Iterator[Collection[tuple]]:
+    """The levels U_1, U_1 U_2, ..., U_1 ... U_m of `sets`, as sets of
+    normal-form syllable tuples, each made only when asked for.
 
-    This is the package's one product-set loop: every level of every
-    enumeration goes through it, and callers build GroupElements only for
-    the levels they keep.  A b whose first generator differs from a's last
-    one is spliced on as a + b.  The rest meet a's last syllable s: each is
-    joined to s alone once per level, by `_join`.  A merge still begins with
-    s's generator and is spliced onto a[:-1]; a b that cancels s leaves a
-    rest, which meets a[:-1] in `_join`.  Raises BudgetExceededError once
-    there are more than `budget` distinct products.
+    This is the package's one product-set loop.  The first level is U_1
+    itself, never held to `budget`; each later level joins every a in the
+    last one to every b in the next set.  A b whose first generator differs
+    from a's last one is spliced on as a + b.  The rest meet a's last
+    syllable s: each is joined to s alone once per level, by `_join`.  A
+    merge still begins with s's generator and is spliced onto a[:-1]; a b
+    that cancels s leaves a rest, which meets a[:-1] in `_join`.  Raises
+    BudgetExceededError once a level has more than `budget` elements.
     """
-    # per last generator of a: the factors spliced on, and those that meet it
-    gens = {b[0][0] for b in factors if b}
-    splice = {g: [b for b in factors if not b or b[0][0] != g] for g in gens}
-    meet = {g: [b for b in factors if b and b[0][0] == g] for g in gens}
-    # per last syllable of a: the merged tails and the rests of the factors
-    # that meet it
-    junction: dict[tuple, tuple[list, list]] = {}
-    out: set[tuple] = set()
-    for a in current:
-        g = a[-1][0] if a else None
-        if g in meet:
-            last = a[-1]
-            table = junction.get(last)
-            if table is None:
-                joined = [_join(orders, (last,), b) for b in meet[g]]
-                table = junction[last] = (
-                    [t for t in joined if t and t[0][0] == g],
-                    [t for t in joined if not t or t[0][0] != g],
-                )
-            merged, rests = table
-            head = a[:-1]
-            out.update(map(a.__add__, splice[g]))
-            out.update(map(head.__add__, merged))
-            for rest in rests:
-                out.add(_join(orders, head, rest))
-        else:
-            out.update(map(a.__add__, factors))
-        if len(out) > budget:
-            raise BudgetExceededError(f"product set exceeded budget of {budget} elements")
-    return out
+    first, *later = sets
+    orders = first.context.orders
+    current = first._members
+    yield current
+    for U in later:
+        if U.context != first.context:
+            raise ValueError("element set context mismatch")
+        factors = U._members
+        # per last generator of a: the factors spliced on, and those that meet it
+        gens = {b[0][0] for b in factors if b}
+        splice = {g: [b for b in factors if not b or b[0][0] != g] for g in gens}
+        meet = {g: [b for b in factors if b and b[0][0] == g] for g in gens}
+        # per last syllable of a: the merged tails and the rests of the
+        # factors that meet it
+        junction: dict[tuple, tuple[list, list]] = {}
+        out: set[tuple] = set()
+        for a in current:
+            g = a[-1][0] if a else None
+            if g in meet:
+                last = a[-1]
+                table = junction.get(last)
+                if table is None:
+                    joined = [_join(orders, (last,), b) for b in meet[g]]
+                    table = junction[last] = (
+                        [t for t in joined if t and t[0][0] == g],
+                        [t for t in joined if not t or t[0][0] != g],
+                    )
+                merged, rests = table
+                head = a[:-1]
+                out.update(map(a.__add__, splice[g]))
+                out.update(map(head.__add__, merged))
+                for rest in rests:
+                    out.add(_join(orders, head, rest))
+            else:
+                out.update(map(a.__add__, factors))
+            if len(out) > budget:
+                raise BudgetExceededError(f"product set exceeded budget of {budget} elements")
+        current = out
+        yield current
+
+
+def product_sizes(sets: Sequence[ElementSet], budget: int) -> Iterator[int]:
+    """|U_1|, |U_1 U_2|, ..., |U_1 ... U_m| for element sets over one
+    context; a caller that stops early never makes the next level."""
+    return map(len, _levels(sets, budget))
+
+
+def product(sets: Sequence[ElementSet], budget: int) -> ElementSet:
+    """The product set U_1 U_2 ... U_m of element sets over one context, or
+    BudgetExceededError once a level after the first has more than `budget`
+    elements.  It holds syllables; its elements are built only if iterated."""
+    for level in _levels(sets, budget):
+        pass
+    return ElementSet._from_syllables(sets[0].context, level)
 
 
 def product_set(U: ElementSet, n: int, budget: int = 10_000_000) -> ElementSet:
-    """The set of all products of exactly n elements of U, deduplicated.
-
-    Computed level by level on syllables with `product_level`, which raises
-    BudgetExceededError if an intermediate level would exceed `budget`
-    canonical forms.  The last level is returned as syllables; its
-    elements are built only if the set is iterated.
-    """
+    """The set of all products of exactly n elements of U, deduplicated:
+    `product` of n copies of U."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(U) == 0:
         raise ValueError("U must be nonempty")
-    factors = list(U._members)
-    current = U._members
-    for _ in range(n - 1):
-        current = product_level(U.context.orders, current, factors, budget)
-    return ElementSet._from_syllables(U.context, current)
+    return product([U] * n, budget)
 
 
 def safin_family(ctx: PresentationContext, N: int) -> ElementSet:

@@ -437,6 +437,43 @@ def test_period_command(tmp_path):
     assert rep["period"][0].get("slack") == "5"
 
 
+C6 = {"backend": "graph", "graph": {"vertices": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}}
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "cfg, code",
+    [
+        ({"command": "growth", "space": {"backend": "free_group", "rank": 2, "kappa0": HUGE[:201]},
+          "set": {"elements": ["a", "b"]}}, 0),
+        ({"command": "growth", "space": {"backend": "free_group", "rank": 2, "rho0": HUGE,
+          "kappa0": "1"}, "set": {"elements": ["a", "b"]}}, 2),
+        ({"command": "treeapprox", "space": C6 | {"rho0": HUGE},
+          "treeapprox": {"base": 0, "targets": [2, 4]}}, 0),
+    ],
+    ids=["kappa0_1e200", "rho0_1e400", "treeapprox_rho0_1e400"],
+)
+def test_float_displays_out_of_float_range(tmp_path, capsys, cfg, code):
+    # alpha = rho0^2 / (10^15 kappa0^2) underflows or overflows a float, and
+    # so does 2 delta on C_6 scaled by rho0: each display is still formed,
+    # and the report is strict JSON (no Infinity or NaN); rho0 = 10^400
+    # makes every bound exceed |U^n|, a violation (exit 2)
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "config error" not in err and "Traceback" not in err
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    rep = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    if cfg["command"] == "growth":
+        assert isinstance(rep["growth"]["entropy_lower_bound"], float)
+    else:
+        assert rep["treeapprox"]["distortion"]["bound_2delta_log2n_plus_1"] is None
+
+
 def test_treeapprox_command(tmp_path):
     cfg = {
         "command": "treeapprox",

@@ -198,6 +198,21 @@ def test_concentrated_pipeline_singleton_u2(z5z7_tree):
     assert set(out.sizes.values()) <= {1}
 
 
+@pytest.mark.parametrize(
+    "budget, sizes",
+    [(8, {1: 3}), (9, {1: 3, 2: 9}), (26, {1: 3, 2: 9}), (27, {1: 3, 2: 9, 3: 27})],
+)
+def test_concentrated_chain_stops_before_a_level_over_the_budget(f2_tree, budget, sizes):
+    # the chain never raises: it makes level k + 1 only while
+    # |level k| * |U2 v| <= budget, so no level it makes can pass the budget
+    U = eset(f2_tree, "a", "b", "B", "aaaab")
+    out = concentrated_pipeline(
+        f2_tree, U, f2_tree.basepoint(), Mode.practical(1, 0), budget=budget
+    )
+    assert out.certified
+    assert out.sizes == sizes
+
+
 # ---------------------------------------------------------------------------
 # diffuse pipeline
 

@@ -19,7 +19,13 @@ from psgrowth.periodicity import (
     separate,
 )
 from psgrowth.spaces import FiniteHypGraph, cycle_graph, random_connected_graph
-from psgrowth.words import ElementSet, power_of, primitive_root, random_reduced_word
+from psgrowth.words import (
+    BudgetExceededError,
+    ElementSet,
+    power_of,
+    primitive_root,
+    random_reduced_word,
+)
 
 from conftest import digest, w
 
@@ -438,6 +444,19 @@ def test_pingpong_spec_example(f2_tree):
     cert = pingpong_certify(f2_tree, V, ab, t, 3, one, a_value=4)
     assert cert.certified
     assert cert.counts == {1: 3, 2: 9, 3: 27}
+
+
+@pytest.mark.parametrize("budget", [26, 27])
+def test_pingpong_counts_raise_over_the_budget(f2_tree, budget):
+    # |(Vt)^3| = 27: every level is counted, and one over the budget raises
+    ab = w(f2_tree, "ab")
+    V = ElementSet(f2_tree.context, [ab**10, ab**20, ab**30])
+    args = (f2_tree, V, ab, w(f2_tree, "b"), 3, f2_tree.basepoint())
+    if budget < 27:
+        with pytest.raises(BudgetExceededError):
+            pingpong_certify(*args, a_value=2, budget=budget)
+    else:
+        assert pingpong_certify(*args, a_value=2, budget=budget).counts == {1: 3, 2: 9, 3: 27}
 
 
 def test_pingpong_close_spacing_fails(f2_tree):

@@ -647,21 +647,24 @@ def test_no_unused_imports_in_the_library():
     assert found == {}
 
 
-def is_tree_reads(source: str) -> list:
-    """Line numbers that name `is_tree`: as an attribute, a name or a string
-    (as in `getattr(space, "is_tree")`)."""
+def name_reads(source: str, names: set) -> list:
+    """Line numbers that name one of `names`: as an attribute, a name, an
+    imported name or a string (as in `getattr(space, "is_tree")`)."""
     return sorted(
         n.lineno
         for n in ast.walk(ast.parse(source))
-        if (isinstance(n, ast.Attribute) and n.attr == "is_tree")
-        or (isinstance(n, ast.Name) and n.id == "is_tree")
-        or (isinstance(n, ast.Constant) and n.value == "is_tree")
+        if (isinstance(n, ast.Attribute) and n.attr in names)
+        or (isinstance(n, ast.Name) and n.id in names)
+        or (isinstance(n, ast.alias) and n.name in names)
+        or (isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value in names)
     )
 
 
 def test_is_tree_reads_finder():
     src = "if space.is_tree:\n    pass\nx = space.delta\ngetattr(s, 'is_tree')\n"
-    assert is_tree_reads(src) == [1, 4]
+    assert name_reads(src, {"is_tree"}) == [1, 4]
+    src = "from .words import (\n    _join,\n)\nS._from_syllables(c, s)\n"
+    assert name_reads(src, {"_join", "_from_syllables"}) == [2, 4]
 
 
 def test_geometry_toolbox_does_not_ask_for_a_tree():
@@ -672,7 +675,21 @@ def test_geometry_toolbox_does_not_ask_for_a_tree():
     found = {
         name: lines
         for name in ("hypgeom.py", "periodicity.py")
-        if (lines := is_tree_reads((package / name).read_text()))
+        if (lines := name_reads((package / name).read_text(), {"is_tree"}))
+    }
+    assert found == {}
+
+
+def test_syllable_tuples_stay_inside_words():
+    # product-set levels are syllable tuples only inside words.py: every
+    # other module asks `product` or `product_sizes` for a product of
+    # ElementSets and never names the level loop or the stored tuples
+    package = Path(psgrowth.__file__).parent
+    private = {"product_level", "_join", "_members", "_from_syllables"}
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if path.name != "words.py" and (lines := name_reads(path.read_text(), private))
     }
     assert found == {}
 

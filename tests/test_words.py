@@ -21,8 +21,9 @@ from psgrowth.words import (
     parse,
     power_of,
     primitive_root,
-    product_level,
+    product,
     product_set,
+    product_sizes,
     random_reduced_word,
     safin_counts,
     safin_family,
@@ -349,6 +350,35 @@ def test_power_of():
     assert power_of(F2.identity(), ab) == 0
 
 
+ZZ = free_product(None, None)
+
+
+def test_single_syllable_roots():
+    # a syllable of an infinite factor has the generator as its root, as in
+    # F_2; a finite-order root reaches every power of itself
+    a, x = Z5Z7.generator(0), ZZ.generator(0)
+    assert power_of(a**2, a) == 2
+    assert power_of(a**2, a**3) == 4
+    assert power_of(a**2, Z5Z7.generator(1)) is None
+    assert primitive_root(x**4) == (x, 4)
+    assert primitive_root(x**-4) == (x.inverse(), 4)
+    assert power_of(x**4, x) == 4 and power_of(x**-4, x**2) == -2
+    assert power_of(x**3, x**2) is None
+    f = F2.generator(0)
+    assert primitive_root(f**4) == (f, 4) and power_of(f**4, f) == 4
+
+
+ROOT_CONTEXTS = {"F2": F2, "Z/5*Z/7": Z5Z7, "Z*Z": ZZ, "Z*Z/3": ZZ3}
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(ROOT_CONTEXTS)), st.text(alphabet="abAB", max_size=8))
+def test_power_of_finds_every_power(name, x):
+    r = parse(ROOT_CONTEXTS[name], x)
+    for j in range(-4, 5):
+        assert r ** power_of(r**j, r) == r**j
+
+
 # ---------------------------------------------------------------------------
 # product sets
 
@@ -403,15 +433,17 @@ LEVEL_SPACES = {
 }
 
 
+def oracle_product(sets):
+    """U_1 ... U_m as syllables, by reducing every m-tuple's letters at once."""
+    ctx = sets[0].context
+    orders = ctx.orders or (None,) * ctx.rank
+    words = [[raw_letters(str(u)) if not u.is_identity else [] for u in S] for S in sets]
+    return {fp_reduce(orders, sum(tup, [])) for tup in itertools.product(*words)}
+
+
 def oracle_levels(U, n):
-    """U^k for k = 1..n, as syllables, by reducing every k-tuple's letters
-    at once."""
-    orders = U.context.orders or (None,) * U.context.rank
-    words = [raw_letters(str(u)) if not u.is_identity else [] for u in U]
-    return [
-        {fp_reduce(orders, sum(tup, [])) for tup in itertools.product(words, repeat=k)}
-        for k in range(1, n + 1)
-    ]
+    """U^k for k = 1..n, as syllables."""
+    return [oracle_product([U] * k) for k in range(1, n + 1)]
 
 
 @st.composite
@@ -442,8 +474,45 @@ def test_tuple_levels_match_letter_oracle(case):
 
 
 @st.composite
+def mixed_inputs(draw):
+    """[U1, U2, U1] or [U, V]: sets of short words over one context (the
+    empty word is the identity), with an inverse among them now and then."""
+    name = draw(st.sampled_from(sorted(LEVEL_SPACES)))
+    ctx = LEVEL_SPACES[name].context
+    k = ctx.num_generators
+    alphabet = string.ascii_lowercase[:k] + string.ascii_uppercase[:k]
+
+    def element_set():
+        texts = draw(st.lists(st.text(alphabet=alphabet, max_size=4), min_size=1, max_size=4))
+        members = [parse(ctx, t) for t in texts]
+        if draw(st.booleans()):
+            members.append(members[0].inverse())
+        return ElementSet(ctx, members)
+
+    U, V = element_set(), element_set()
+    return draw(st.sampled_from([[U, V, U], [U, V]]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(mixed_inputs())
+def test_mixed_products_match_letter_oracle(sets):
+    want = [oracle_product(sets[:k]) for k in range(1, len(sets) + 1)]
+    got = product(sets, 10**6)
+    assert got.context is sets[0].context
+    assert {el.syllables for el in got} == want[-1]
+    sizes = list(product_sizes(sets, 10**6))
+    assert sizes == [len(w) for w in want]
+    assert sizes == [len(product(sets[:k], 10**6)) for k in range(1, len(sets) + 1)]
+
+
+def test_product_refuses_sets_over_two_contexts():
+    with pytest.raises(ValueError, match="context mismatch"):
+        product([ElementSet.from_strings(F2, ["a"]), ElementSet.from_strings(Z5Z7, ["a"])], 10)
+
+
+@st.composite
 def junction_inputs(draw):
-    """A level and its factors as syllable tuples: short words, the identity,
+    """A level and its factors as ElementSets: short words, the identity,
     inverse pairs, and power families w^-N..w^N of a word w, whose products
     cancel through several syllables."""
     name = draw(st.sampled_from(sorted(LEVEL_SPACES)))
@@ -462,7 +531,7 @@ def junction_inputs(draw):
             w = parse(ctx, draw(word))
             n_big = draw(st.integers(1, 4))
             out.extend(w**i for i in range(-n_big, n_big + 1))
-        return [m.syllables for m in out]
+        return ElementSet(ctx, out)
 
     return ctx, members(), members()
 
@@ -471,8 +540,9 @@ def junction_inputs(draw):
 @given(junction_inputs())
 def test_level_is_the_set_of_pairwise_joins(case):
     ctx, current, factors = case
-    want = {_join(ctx.orders, a, b) for a in current for b in factors}
-    assert product_level(ctx.orders, current, factors, max(len(want), 1)) == want
+    want = {_join(ctx.orders, a.syllables, b.syllables) for a in current for b in factors}
+    got = product([current, factors], max(len(want), 1))
+    assert {el.syllables for el in got} == want
 
 
 def test_budget_boundary_is_the_level_size():
@@ -492,15 +562,15 @@ def test_a_level_stores_syllables_not_elements():
     # bytes more for each one stored
     rng = random.Random(3)
     U = ElementSet(F2, [random_reduced_word(rng, F2, rng.randint(4, 8)) for _ in range(50)])
-    factors = [u.syllables for u in U]
-    level2 = product_level(F2.orders, factors, factors, 10**7)
+    sizes = product_sizes([U] * 3, 10**7)
+    next(sizes), next(sizes)
     tracemalloc.start()
     try:
-        level3 = product_level(F2.orders, level2, factors, 10**7)
+        size3 = next(sizes)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held / len(level3) < 200
+    assert held / size3 < 200
 
 
 def test_a_product_set_stores_syllables_not_elements():
