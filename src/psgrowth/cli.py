@@ -171,17 +171,20 @@ def _parse_at(ctx, text: str, key: str):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _root_at(ctx, text: str, key: str):
-    """A period or ping-pong root: an element other than the identity."""
-    root = _parse_at(ctx, text, key)
+def _root_at(space, text: str, key: str):
+    """A period or ping-pong root: a hyperbolic element of the space."""
+    root = _parse_at(space.context, text, key)
     if root.is_identity:
         raise ConfigError(f"{key}: the identity is not a root (it has no primitive root)")
+    if not space.translation_length(root).is_hyperbolic:
+        raise ConfigError(f"{key}: {text} is not hyperbolic (it fixes a point)")
     return root
 
 
 def _reduce_radius(cfg: dict, space, mode: Mode):
-    """`reduce.r`, default rho0, checked as the tree reduction checks it: a
-    positive multiple of rho0, and at most kappa0 / 4 in paper mode."""
+    """`reduce.r`, default rho0: a positive multiple of rho0, as the tree
+    reduction checks it, and in paper mode at most kappa0 / 4, the paper's
+    regime, which only this check enforces."""
     r = _frac(cfg.get("reduce", {}).get("r"), space.rho0)
     if r <= 0 or (r / space.rho0).denominator != 1:
         raise ConfigError(f"reduce.r: {r} is not a positive multiple of rho0 = {space.rho0}")
@@ -397,7 +400,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         section = cfg.get("period", {})
         root = None
         if "root" in section:
-            root = _root_at(space.context, section["root"], "period.root")
+            root = _root_at(space, section["root"], "period.root")
         U = build_set(cfg, space, seed)
         x0 = space.basepoint()
         threshold = _frac(section.get("threshold"))
@@ -413,7 +416,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         section = cfg.get("pingpong")
         if section is None:
             raise ConfigError("pingpong needs a 'pingpong' section")
-        root = _root_at(space.context, section["root"], "pingpong.root")
+        root = _root_at(space, section["root"], "pingpong.root")
         t = _parse_at(space.context, section["t"], "pingpong.t")
         powers = section.get("powers", [10, 20, 30])
         # V's largest power is built whole before any enumeration budget applies

@@ -392,12 +392,11 @@ def diffuse_pipeline(
     U: ElementSet,
     mode: Mode,
     n: int = 3,
-    r=None,
     counting_c: Fraction = Fraction(2),
     budget: int = 500_000,
 ) -> DiffuseOutcome:
     """The diffuse-energy route: reduction (the tree sphere peel at radius
-    r, default rho0) -> median split -> W_l counting;
+    rho0) -> median split -> W_l counting;
     periodic middles route through period extraction, bi-periodicity, and
     the ping-pong growth of the coset.
 
@@ -424,8 +423,7 @@ def diffuse_pipeline(
     else:
         hypothesis_floor = mode.concentration_threshold
 
-    r = space.rho0 if r is None else r
-    red = reduce_tree(space, U, x0, r, hypothesis_displacement=hypothesis_floor)
+    red = reduce_tree(space, U, x0, space.rho0, hypothesis_displacement=hypothesis_floor)
     known["reduction"] = red.as_dict()
     if red.failed:
         return refuse("Failed", red.reason)

@@ -262,9 +262,13 @@ def is_biperiodic(space: ActionSpace, V: ElementSet, x0, threshold=None):
     members = list(V)
     if len(members) < 2:
         return Refusal("TooSmall", detail=f"|V| = {len(members)}")
-    # the members are distinct, so neither quotient is the identity
+    # the members are distinct, so neither quotient is the identity; the
+    # second is conjugate to the inverse of the first, so it is hyperbolic
+    # when the first is
     v1, v2 = members[0], members[1]
     e1_root, _ = primitive_root(v1 * v2.inverse())
+    if not translation_length(space, e1_root).is_hyperbolic:
+        return Refusal("QuotientNotHyperbolic", detail=str(e1_root))
     e2_root, _ = primitive_root(v1.inverse() * v2)
 
     certs = []

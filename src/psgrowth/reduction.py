@@ -164,13 +164,12 @@ def reduce_tree(
     U: ElementSet,
     x0,
     r,
-    enforce_quarter_kappa: bool = False,
     hypothesis_displacement=None,
 ) -> ReductionResult:
     """Sphere-peeling reduction on a tree backend at sphere radius r.
 
-    Preconditions checked: r a positive multiple of rho0 (and <= kappa0/4
-    when enforce_quarter_kappa, the paper regime); at least 3/4 of U has
+    Preconditions checked: r a positive multiple of rho0 (the paper's
+    r <= kappa0/4 is the config's to check); at least 3/4 of U has
     displacement >= hypothesis_displacement (default 4r, the membership
     filter itself; the diffuse pipeline passes its classification threshold
     so the check matches the case split that routed here).  Elements below
@@ -185,8 +184,6 @@ def reduce_tree(
     r_steps = space.steps(r)
     if r_steps < 1:
         raise ValueError("r must be a positive multiple of rho0")
-    if enforce_quarter_kappa and r > space.kappa0 / 4:
-        raise ValueError("paper regime requires r <= kappa0 / 4")
     if len(U) == 0:
         return _failed(ctx, r, "TooSmall")
 

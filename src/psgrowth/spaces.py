@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .words import (
     FREE_PRODUCT,
@@ -29,9 +29,6 @@ from .words import (
     cyclic_reduce,
     free_group,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _as_fraction(x) -> Fraction:
@@ -401,7 +398,7 @@ class FiniteHypGraph(ActionSpace):
             nbrs.sort()
 
         self._hops = self._all_pairs_hops()
-        if self._hops.max(initial=0) >= self.n + 1:
+        if any(self.n + 1 in row for row in self._hops):
             raise ValueError("graph is disconnected")
 
         self.delta = self._four_point_delta()
@@ -433,11 +430,9 @@ class FiniteHypGraph(ActionSpace):
             q[v] = i
         return tuple(q)
 
-    def _all_pairs_hops(self) -> np.ndarray:
+    def _all_pairs_hops(self) -> list[list[int]]:
         """Hop counts by one BFS per source, n + 1 where unreachable."""
-        import numpy as np
-
-        hops = np.empty((self.n, self.n), dtype=np.int64)
+        hops = []
         for s in range(self.n):
             row = [self.n + 1] * self.n
             row[s] = 0
@@ -452,7 +447,7 @@ class FiniteHypGraph(ActionSpace):
                             row[v] = d
                             nxt.append(v)
                 frontier = nxt
-            hops[s] = row
+            hops.append(row)
         return hops
 
     def _four_point_delta(self) -> Fraction:
@@ -464,7 +459,7 @@ class FiniteHypGraph(ActionSpace):
         result may be a half-integer times rho0); n^4 time, 4 n^3 bytes."""
         import numpy as np
 
-        D = self._hops.astype(np.int32)
+        D = np.array(self._hops, dtype=np.int32)
         gap = 0
         for w in range(self.n):
             G = D[w, :, None] + D[w, None, :] - D
@@ -488,7 +483,7 @@ class FiniteHypGraph(ActionSpace):
     def hops(self, x, y) -> int:
         self.check_point(x)
         self.check_point(y)
-        return int(self._hops[x, y])
+        return self._hops[x][y]
 
     # each backend binds the one `dist` in its own namespace, where perfbench's
     # traced run counts calls per backend class

@@ -12,6 +12,11 @@ half of the distortion bound a theorem of the triangle inequality alone:
 so d_T(f x, f x') = s + t - 2*min(s, t, div(i,j)) <= s + t - 2 (x,x')_{x0}
 = |x - x'|.  The shrink side is the hyperbolicity content, verified
 exhaustively over all sampled pairs against 2*delta*(log2 n + 1).
+
+Every depth in the tree is an integer count of doubled hops: a point k edges
+down its leg sits at depth 2 k, div(i, j) is the integer div2[i][j], and a
+depth g is g * rho0 / 2 long.  Only `export`, which prints lengths, and the
+worst shrink of `distortion_report` scale by rho0 / 2.
 """
 
 from __future__ import annotations
@@ -24,107 +29,69 @@ from typing import Optional, Sequence
 from .exactmath import to_float, within_log_bound
 from .spaces import ActionSpace
 
-_INF = Fraction(10**30)  # sentinel: larger than any hull diameter here
-
-
-@dataclass(frozen=True)
-class TreePoint:
-    leg: int
-    depth: Fraction
-
 
 @dataclass
 class ApproximationTree:
     """The tree T, the map f on all sampled geodesic vertices, and the
-    verified distortion data."""
+    verified distortion data, with every depth in doubled hops."""
 
     space: ActionSpace
     x0: object
     targets: list
     legs: list  # list of geodesic vertex lists
-    div: list  # maximin-closed divergence depths between legs
-    samples: list  # (point, TreePoint) with first-leg assignment
-    n_leaves: int
-    # div in doubled hops: div[i][j] = div2[i][j] * rho0 / 2 off the
-    # diagonal, and a sentinel above every doubled depth on it
+    # maximin-closed divergence depths between legs, and a sentinel above
+    # every depth on the diagonal
     div2: list
-
-    def tree_distance(self, a: TreePoint, b: TreePoint) -> Fraction:
-        if a.leg == b.leg:
-            return abs(a.depth - b.depth)
-        meet = min(a.depth, b.depth, self.div[a.leg][b.leg])
-        return a.depth + b.depth - 2 * meet
-
-    def image_of(self, point) -> Optional[TreePoint]:
-        key = self.space.point_key(point)
-        for p, tp in self.samples:
-            if self.space.point_key(p) == key:
-                return tp
-        return None
+    samples: list  # (point, leg, depth), each point on the first leg through it
+    n_leaves: int
 
     def distortion_bound_holds(self, shrink: Fraction) -> bool:
         return within_log_bound(shrink, self.space.delta, max(self.n_leaves, 1))
 
-    def glue_depth(self, i: int) -> Fraction:
+    def glue_depth(self, i: int) -> int:
         """Depth at which leg i attaches to the tree spanned by legs < i."""
-        if i == 0:
-            return Fraction(0)
-        row = self.div2[i]
-        return self.div[i][max(range(i), key=row.__getitem__)]
+        return max(self.div2[i][:i], default=0)
 
-    def canonical_leg(self, leg: int, depth: Fraction) -> int:
+    def canonical_leg(self, leg: int, depth: int) -> int:
         """The lowest-index leg through the point at `depth` on leg `leg`:
         the legs that have not yet diverged from it there, i.e. with
-        div >= depth, or div2 >= 2 depth / rho0 rounded up."""
-        bar = math.ceil(2 * depth / self.space.rho0)
+        div2 >= depth."""
         row = self.div2[leg]
-        return next(j for j in range(len(self.legs)) if j == leg or row[j] >= bar)
+        return next(j for j in range(len(self.legs)) if j == leg or row[j] >= depth)
 
     # -- explicit tree structure for export ---------------------------------
 
     def export(self) -> dict:
         """Vertices, parent pointers and edge lengths of the quotient tree,
-        plus the image node of every sampled point."""
-        depths_per_leg: dict[int, set[Fraction]] = {}
+        plus the image node of every sampled point.
 
-        node_keys: set[tuple[int, Fraction]] = set()
-        for _, tp in self.samples:
-            node_keys.add((self.canonical_leg(tp.leg, tp.depth), tp.depth))
-        for i in range(1, len(self.legs)):
+        A node is (canonical leg, depth).  Every node on a leg i > 0 lies
+        deeper than the glue point of i, so in sorted order a node's parent
+        is the node before it on its leg, or else its leg's glue point."""
+        images = [(self.canonical_leg(leg, d), d) for _, leg, d in self.samples]
+        glue = []
+        for i in range(len(self.legs)):
             d = self.glue_depth(i)
-            node_keys.add((self.canonical_leg(i, d), d))
-        node_keys.add((0, Fraction(0)))
-
-        for leg, depth in node_keys:
-            depths_per_leg.setdefault(leg, set()).add(depth)
-
-        ordered = sorted(node_keys)
+            glue.append((self.canonical_leg(i, d), d))
+        # the glue point of leg 0 is the root (0, 0), the least key
+        ordered = sorted(set(glue).union(images))
         ids = {key: i for i, key in enumerate(ordered)}
-        parent = [-1] * len(ordered)
-        edge_length = [Fraction(0)] * len(ordered)
-        for key in ordered:
-            leg, depth = key
-            if depth == 0:
-                continue
-            below = [d for d in depths_per_leg.get(leg, ()) if d < depth]
-            if leg != 0:
-                below.append(self.glue_depth(leg))
-            prev = max(d for d in below if d <= depth) if below else Fraction(0)
-            pkey = (self.canonical_leg(leg, prev), prev)
-            parent[ids[key]] = ids[pkey]
-            edge_length[ids[key]] = depth - prev
 
-        f_images = {
-            self.space.encode_point(p): ids[
-                (self.canonical_leg(tp.leg, tp.depth), tp.depth)
-            ]
-            for p, tp in self.samples
-        }
+        parent, edge_length = [-1], [0]
+        for i, (leg, depth) in enumerate(ordered[1:]):
+            up = i if ordered[i][0] == leg else ids[glue[leg]]
+            parent.append(up)
+            edge_length.append(depth - ordered[up][1])
+
+        scale = self.space.rho0 / 2
         return {
-            "vertices": [[key[0], str(key[1])] for key in ordered],
+            "vertices": [[leg, str(depth * scale)] for leg, depth in ordered],
             "parent": parent,
-            "edge_length": [str(l) for l in edge_length],
-            "f_images": f_images,
+            "edge_length": [str(l * scale) for l in edge_length],
+            "f_images": {
+                self.space.encode_point(p): ids[key]
+                for (p, _, _), key in zip(self.samples, images)
+            },
         }
 
 
@@ -147,37 +114,29 @@ def approximate_tree(space: ActionSpace, x0, targets: Sequence) -> Approximation
         for j in range(i):
             G[i][j] = G[j][i] = out[i] + out[j] - space.hops(targets[i], targets[j])
     # maximin (widest-path) closure over chains of legs; the diagonal
-    # sentinel exceeds every doubled depth 2 hops(x0, t_i)
-    top = 2 * max(out) + 1
+    # sentinel exceeds every depth 2 hops(x0, t_i)
     R = np.array(G, dtype=np.int64)
-    np.fill_diagonal(R, top)
+    np.fill_diagonal(R, 2 * max(out) + 1)
     for k in range(n):
         np.maximum(R, np.minimum(R[:, k, None], R[None, k, :]), out=R)
-    div2 = R.tolist()
-    # decode each distinct value once: g doubled hops are g rho0 / 2
-    depth = {g: Fraction(g, 2) * space.rho0 for g in set().union(*div2)}
-    depth[top] = _INF
-    div = [[depth[g] for g in row] for row in div2]
 
     samples: list = []
-    assigned: dict = {}
+    assigned: set = set()
     for i, leg in enumerate(legs):
         for step, point in enumerate(leg):
             key = space.point_key(point)
             if key not in assigned:
-                tp = TreePoint(i, step * space.rho0)
-                assigned[key] = tp
-                samples.append((point, tp))
+                assigned.add(key)
+                samples.append((point, i, 2 * step))
 
     return ApproximationTree(
         space=space,
         x0=x0,
         targets=targets,
         legs=legs,
-        div=div,
+        div2=R.tolist(),
         samples=samples,
         n_leaves=n,
-        div2=div2,
     )
 
 
@@ -210,12 +169,10 @@ def distortion_report(approx: ApproximationTree) -> DistortionReport:
 
     ok means: no pair expanded (d_T > |x - x'|) and the worst shrink is
     within 2*delta*(log2(n)+1), compared exactly.  The pairs are compared
-    in doubled hops (a sample s edges down its leg sits at depth 2 s), and
-    the worst shrink is scaled by rho0 / 2 once."""
+    in doubled hops, as the tree holds them, and the worst shrink is
+    scaled by rho0 / 2 once."""
     space = approx.space
-    points = [p for p, _ in approx.samples]
-    legs = [tp.leg for _, tp in approx.samples]
-    depths = [2 * space.steps(tp.depth) for _, tp in approx.samples]
+    points, legs, depths = zip(*approx.samples)
     shrink = 0
     expansion = False
     for a, p in enumerate(points):

@@ -449,13 +449,15 @@ class ElementSet:
 
     @classmethod
     def _from_syllables(
-        cls, context: PresentationContext, syllables: Iterable[tuple]
+        cls, context: PresentationContext, syllables: Collection[tuple]
     ) -> "ElementSet":
         """The set of the normal forms `syllables`, trusted to be in normal
-        form over `context`; no element is built until it is iterated."""
+        form over `context`.  The set (or frozenset) is kept, not copied,
+        so no caller may change it later; no element is built until it is
+        iterated."""
         self = object.__new__(cls)
         self.context = context
-        self._members = frozenset(syllables)
+        self._members = syllables
         self._given = None
         self._sorted = None
         return self
@@ -490,7 +492,10 @@ class ElementSet:
         )
 
     def __hash__(self) -> int:
-        # a GroupElement hashes as its syllables
+        # a GroupElement hashes as its syllables; a set kept by
+        # `_from_syllables` is frozen the first time it is hashed
+        if not isinstance(self._members, frozenset):
+            self._members = frozenset(self._members)
         return hash((self.context, self._members))
 
     def __repr__(self) -> str:

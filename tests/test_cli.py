@@ -318,6 +318,7 @@ def test_bad_config_exit_4(tmp_path, cfg, capsys):
 
 
 F2_SPACE = {"backend": "free_group", "rank": 2}
+Z5Z7_SPACE = {"backend": "free_product", "orders": [5, 7]}
 PRACTICAL = {"name": "practical", "concentration_threshold": "1", "displacement_floor": "1"}
 LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_tree", "is_periodic",
                  "is_biperiodic", "pingpong_certify")
@@ -335,6 +336,11 @@ LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_tree", "is_periodic
         ({"command": "pingpong", "pingpong": {"root": "1", "t": "b"}}, "pingpong.root"),
         ({"command": "pingpong", "pingpong": {"root": "a-b", "t": "b"}}, "pingpong.root"),
         ({"command": "pingpong", "pingpong": {"root": "ab", "t": "bc"}}, "pingpong.t"),
+        # a fixes a vertex of the Bass-Serre tree: it has no axis
+        ({"command": "period", "space": Z5Z7_SPACE, "set": {"elements": ["ab"]},
+          "period": {"root": "a"}}, "period.root"),
+        ({"command": "pingpong", "space": Z5Z7_SPACE, "pingpong": {"root": "a", "t": "b"}},
+         "pingpong.root"),
         ({"command": "reduce", "set": {"elements": ["ab"]}, "mode": PRACTICAL,
           "reduce": {"r": "1/2"}}, "reduce.r"),
         ({"command": "reduce", "set": {"elements": ["ab"]}, "mode": PRACTICAL,
@@ -356,7 +362,8 @@ LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_tree", "is_periodic
     ],
     ids=["set_bad_character", "set_letter_outside_rank", "period_root_bad_letter",
          "period_root_identity", "pingpong_root_identity", "pingpong_root_bad_character",
-         "pingpong_t_outside_rank", "reduce_r_half_edge", "reduce_r_zero",
+         "pingpong_t_outside_rank", "period_root_elliptic", "pingpong_root_elliptic",
+         "reduce_r_half_edge", "reduce_r_zero",
          "reduce_r_negative", "reduce_r_not_a_multiple_of_rho0", "reduce_r_paper_default_kappa0",
          "reduce_r_paper_above_kappa0_quarter", "reduce_r_paper_default_rho0"],
 )
@@ -435,6 +442,17 @@ def test_period_command(tmp_path):
     assert main(["--config", str(p), "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["period"][0].get("slack") == "5"
+
+
+@pytest.mark.parametrize("elements", [["a", "aa"], ["ab", "aab"]], ids="-".join)
+def test_biperiodic_elliptic_quotient_is_refused(tmp_path, elements):
+    # v1 v2^-1 = a^-1 fixes a vertex: a valid config whose set is not
+    # bi-periodic gets a refusal in its report, not a config error
+    cfg = {"command": "period", "space": Z5Z7_SPACE, "set": {"elements": elements}}
+    out = tmp_path / "out"
+    assert main(["--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["biperiodic"]["refused"] == "QuotientNotHyperbolic"
 
 
 C6 = {"backend": "graph", "graph": {"vertices": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}}

@@ -303,6 +303,15 @@ def test_biperiodic_singleton(f2_tree):
     assert isinstance(res, Refusal) and res.reason == "TooSmall"
 
 
+@pytest.mark.parametrize("texts", [("a", "aa"), ("ab", "aab")], ids="-".join)
+def test_biperiodic_elliptic_quotient_is_refused(z5z7_tree, texts):
+    # v1 v2^-1 = a^-1 fixes a vertex, so V is not bi-periodic; it is
+    # refused before any member is checked against a root with no axis
+    V = ElementSet(z5z7_tree.context, [w(z5z7_tree, t) for t in texts])
+    res = is_biperiodic(z5z7_tree, V, z5z7_tree.basepoint())
+    assert isinstance(res, Refusal) and res.reason == "QuotientNotHyperbolic"
+
+
 # ---------------------------------------------------------------------------
 # e_reduce
 

@@ -108,8 +108,6 @@ def test_reduce_tree_rejects_bad_r(f2_tree):
     U = eset(f2_tree, "aaaa", "bbbb")
     with pytest.raises(ValueError):
         reduce_tree(f2_tree, U, f2_tree.basepoint(), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        reduce_tree(f2_tree, U, f2_tree.basepoint(), 1, enforce_quarter_kappa=True)
 
 
 def test_reduce_tree_free_product(z5z7_tree):

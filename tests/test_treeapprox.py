@@ -1,12 +1,13 @@
+import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psgrowth.treeapprox import _INF, TreePoint, approximate_tree, distortion_report
+from psgrowth.exactmath import within_log_bound
+from psgrowth.treeapprox import approximate_tree, distortion_report
 from psgrowth.spaces import (
     FiniteHypGraph,
     FreeGroupTree,
@@ -34,15 +35,16 @@ def test_single_target_is_segment(f2_tree):
     assert approx.n_leaves == 1
     rep = distortion_report(approx)
     assert rep.ok and rep.max_shrink == 0
-    assert approx.image_of(target) == TreePoint(0, Fraction(4))
+    data = approx.export()
+    assert data["vertices"][data["f_images"][f2_tree.encode_point(target)]] == [0, "4"]
 
 
 def test_six_cycle_two_legs():
     c6 = cycle_graph(6)
     approx = approximate_tree(c6, 0, [2, 4])
     rep = distortion_report(approx)
-    # glue depth = (v2, v4)_{v0} = (2 + 2 - 2)/2 = 1
-    assert approx.div[0][1] == 1
+    # glue depth = (v2, v4)_{v0} = (2 + 2 - 2)/2 = 1, or 2 doubled hops
+    assert approx.div2[0][1] == 2
     assert not rep.expansion_found
     assert rep.ok  # delta = 1, bound = 2*(log2 2 + 1) = 4
 
@@ -51,10 +53,8 @@ def test_leg_isometry_to_root(f2_tree):
     rng = random.Random(51)
     targets = [random_reduced_word(rng, f2_tree.context, rng.randint(1, 7)) for _ in range(6)]
     approx = approximate_tree(f2_tree, f2_tree.basepoint(), targets)
-    for p, tp in approx.samples:
-        assert approx.tree_distance(TreePoint(0, Fraction(0)), tp) == f2_tree.dist(
-            approx.x0, p
-        )
+    for p, _, depth in approx.samples:
+        assert Fraction(depth, 2) == f2_tree.dist(approx.x0, p)
 
 
 def test_monotone_gluing_trees(f2_tree):
@@ -69,7 +69,7 @@ def test_monotone_gluing_trees(f2_tree):
             f2_tree.gromov_product(targets[i], targets[j], f2_tree.basepoint())
             for j in range(i)
         )
-        assert approx.glue_depth(i) == expected
+        assert approx.glue_depth(i) == 2 * expected
 
 
 def test_monotone_gluing_graphs_lower_bound():
@@ -79,7 +79,7 @@ def test_monotone_gluing_graphs_lower_bound():
     approx = approximate_tree(g, 0, targets)
     for i in range(1, len(targets)):
         raw = max(g.gromov_product(targets[i], targets[j], 0) for j in range(i))
-        assert approx.glue_depth(i) >= raw
+        assert approx.glue_depth(i) >= 2 * raw
 
 
 def test_random_graphs_within_bound():
@@ -99,34 +99,34 @@ def test_shared_point_maps_once(f2_tree):
     # two targets with a long common prefix: shared vertices appear once
     targets = [w(f2_tree, "aaab"), w(f2_tree, "aaB")]
     approx = approximate_tree(f2_tree, f2_tree.basepoint(), targets)
-    keys = [f2_tree.point_key(p) for p, _ in approx.samples]
+    keys = [f2_tree.point_key(p) for p, _, _ in approx.samples]
     assert len(keys) == len(set(keys))
-    assert approx.div[0][1] == 2
+    assert approx.div2[0][1] == 4
 
 
-def test_export_structure(f2_tree):
-    targets = [w(f2_tree, "ab"), w(f2_tree, "aB"), w(f2_tree, "b")]
-    approx = approximate_tree(f2_tree, f2_tree.basepoint(), targets)
-    data = approx.export()
-    n = len(data["vertices"])
-    assert len(data["parent"]) == n and len(data["edge_length"]) == n
-    assert data["parent"].count(-1) == 1  # single root
-    # every sampled point has an image node
-    assert len(data["f_images"]) == len(approx.samples)
-    # parent edges reproduce the root distance
-    depth = {}
+def test_export_structure():
+    cases = (case for rho0 in (Fraction(1),) + RHO0S for case in export_cases(rho0))
+    for space, x0, targets in cases:
+        data = approximate_tree(space, x0, targets).export()
+        n = len(data["vertices"])
+        assert len(data["parent"]) == n and len(data["edge_length"]) == n
+        assert data["parent"].count(-1) == 1  # single root
+        # every vertex of every geodesic [x0, t] has an image node
+        points = {space.encode_point(p): p for t in targets for p in space.geodesic(x0, t)}
+        assert set(data["f_images"]) == set(points)
+        # the edge lengths from the root to each image sum to the distance
+        depth = {}
 
-    def depth_of(i):
-        if i in depth:
+        def depth_of(i):
+            if i not in depth:
+                p = data["parent"][i]
+                depth[i] = (
+                    Fraction(0) if p == -1 else depth_of(p) + Fraction(data["edge_length"][i])
+                )
             return depth[i]
-        p = data["parent"][i]
-        d = Fraction(0) if p == -1 else depth_of(p) + Fraction(data["edge_length"][i])
-        depth[i] = d
-        return d
 
-    for p, tp in approx.samples:
-        node = data["f_images"][f2_tree.encode_point(p)]
-        assert depth_of(node) == f2_tree.dist(approx.x0, p)
+        for key, node in data["f_images"].items():
+            assert depth_of(node) == space.dist(x0, points[key])
 
 
 def test_no_targets_rejected(f2_tree):
@@ -140,11 +140,11 @@ def test_no_targets_rejected(f2_tree):
 
 def oracle_closure(space, x0, targets) -> list:
     """Widest-path closure of the Gromov products (t_i, t_j)_{x0}, by the
-    triple loop over Fractions, with _INF on the diagonal."""
+    triple loop over Fractions, with infinity on the diagonal."""
     n = len(targets)
     div = [[space.gromov_product(s, t, x0) for t in targets] for s in targets]
     for i in range(n):
-        div[i][i] = _INF
+        div[i][i] = math.inf
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -152,29 +152,31 @@ def oracle_closure(space, x0, targets) -> list:
     return div
 
 
-def oracle_distortion(approx) -> tuple:
+def oracle_distortion(space, x0, targets) -> tuple:
     """(max_shrink, expansion_found, leg_isometry_ok, ok, n_pairs) by the
-    all-pairs loop over Fraction distances and `tree_distance`."""
-    space, samples = approx.space, approx.samples
+    all-pairs loop over Fraction distances, with tree distances from
+    `oracle_closure` and each geodesic vertex on the first leg through it."""
+    div = oracle_closure(space, x0, targets)
+    samples = {}
+    for i, t in enumerate(targets):
+        for k, p in enumerate(space.geodesic(x0, t)):
+            samples.setdefault(space.point_key(p), (p, i, k * space.rho0))
+    samples = list(samples.values())
     max_shrink = Fraction(0)
     expansion = False
     pairs = 0
-    for idx in range(len(samples)):
-        p, tp = samples[idx]
-        for jdx in range(idx + 1, len(samples)):
-            q, tq = samples[jdx]
+    for idx, (p, i, s) in enumerate(samples):
+        for q, j, t in samples[idx + 1 :]:
             real = space.dist(p, q)
-            tree = approx.tree_distance(tp, tq)
+            tree = abs(s - t) if i == j else s + t - 2 * min(s, t, div[i][j])
             pairs += 1
             if tree > real:
                 expansion = True
             elif real - tree > max_shrink:
                 max_shrink = real - tree
-    leg_iso = all(
-        approx.tree_distance(TreePoint(0, Fraction(0)), tp) == space.dist(approx.x0, p)
-        for p, tp in samples
-    )
-    ok = approx.distortion_bound_holds(max_shrink) and not expansion and leg_iso
+    # the root is at tree distance s from a sample at depth s
+    leg_iso = all(s == space.dist(x0, p) for p, _, s in samples)
+    ok = within_log_bound(max_shrink, space.delta, len(targets)) and not expansion and leg_iso
     return max_shrink, expansion, leg_iso, ok, pairs
 
 
@@ -191,19 +193,18 @@ def doubled(space, div, top) -> list:
 
 
 def assert_matches_oracles(space, x0, targets):
-    """The closure, its doubled-hop form, the export and the distortion
+    """The closure in doubled hops, the glue depths and the distortion
     report against the Fraction oracles."""
     approx = approximate_tree(space, x0, targets)
     want = oracle_closure(space, x0, targets)
-    assert approx.div == want
-    assert all(approx.div[i][i] == _INF for i in range(len(targets)))
     top = approx.div2[0][0]
     assert approx.div2 == doubled(space, want, top)
-    assert top > max(2 * space.steps(tp.depth) for _, tp in approx.samples)
-    assert approx.export() == replace(approx, div=want, div2=doubled(space, want, top)).export()
+    assert top > 2 * max(space.hops(x0, t) for t in targets)
+    glue = [Fraction(approx.glue_depth(i), 2) * space.rho0 for i in range(len(targets))]
+    assert glue == [max(row[:i], default=0) for i, row in enumerate(want)]
     rep = distortion_report(approx)
     got = (rep.max_shrink, rep.expansion_found, rep.leg_isometry_ok, rep.ok, rep.n_pairs)
-    assert got == oracle_distortion(approx)
+    assert got == oracle_distortion(space, x0, targets)
     assert type(rep.max_shrink) is Fraction
     return approx
 
@@ -250,21 +251,23 @@ def test_distortion_matches_oracle_on_more_graphs():
         approx = approximate_tree(g, x0, targets)
         rep = distortion_report(approx)
         got = (rep.max_shrink, rep.expansion_found, rep.leg_isometry_ok, rep.ok, rep.n_pairs)
-        assert got == oracle_distortion(approx), (g.edges, x0, targets)
+        assert got == oracle_distortion(g, x0, targets), (g.edges, x0, targets)
 
 
 @pytest.mark.parametrize("rho0", (Fraction(1),) + RHO0S, ids=str)
 def test_canonical_leg_matches_the_fraction_rule(rho0):
-    # at every quarter edge, also between the depths a sample or a glue
-    # point can have (the reduction route asks at any tolerance)
+    # at every doubled depth up to the diagonal sentinel: the lowest leg
+    # whose Fraction closure with `leg` reaches that depth
     for g, x0, targets in graph_cases():
-        approx = approximate_tree(FiniteHypGraph(g.n, g.edges, rho0=rho0), x0, targets)
+        space = FiniteHypGraph(g.n, g.edges, rho0=rho0)
+        approx = approximate_tree(space, x0, targets)
+        div = oracle_closure(space, x0, targets)
         n = len(targets)
-        top = max(2 * approx.space.steps(tp.depth) for _, tp in approx.samples)
+        top = 2 * max(space.hops(x0, t) for t in targets)
         for leg in range(n):
-            for k in range(2 * top + 2):
-                depth = Fraction(k, 4) * rho0
-                want = min(j for j in range(n) if j == leg or approx.div[leg][j] >= depth)
+            for depth in range(top + 2):
+                length = Fraction(depth, 2) * rho0
+                want = min(j for j in range(n) if j == leg or div[leg][j] >= length)
                 assert approx.canonical_leg(leg, depth) == want
 
 
@@ -306,17 +309,32 @@ def test_tree_closure_matches_oracle(tree, rho0, x0, targets):
     )
 
 
-def test_exports_are_pinned():
-    # the trees exported for fixed graph and tree inputs, pinned in full
-    exports = [approximate_tree(*case).export() for case in graph_cases()]
+def export_cases(rho0):
+    """`graph_cases` and seeded tree stars, at edge length rho0."""
+    for g, x0, targets in graph_cases():
+        yield FiniteHypGraph(g.n, g.edges, rho0=rho0), x0, targets
     rng = random.Random(56)
     for tree in sorted(TREES):
-        space = TREES[tree]
+        space = SCALED_TREES[tree, rho0]
         for _ in range(5):
             texts = [
                 "".join(rng.choice("abAB") for _ in range(rng.randint(0, 6)))
                 for _ in range(6)
             ]
             points = [tree_vertex(space, t, rng.randint(0, 1)) for t in texts]
-            exports.append(approximate_tree(space, points[0], points[1:]).export())
-    assert digest({"exports": exports}) == "980f2275a1a4b646"
+            yield space, points[0], points[1:]
+
+
+def pinned_exports(rho0) -> list:
+    return [approximate_tree(*case).export() for case in export_cases(rho0)]
+
+
+def test_exports_are_pinned():
+    # the trees exported for fixed graph and tree inputs, pinned in full
+    assert digest({"exports": pinned_exports(Fraction(1))}) == "980f2275a1a4b646"
+
+
+def test_exports_are_pinned_at_non_unit_rho0():
+    # where a doubled hop is not an integer length
+    exports = {str(rho0): pinned_exports(rho0) for rho0 in RHO0S}
+    assert digest(exports) == "3d3d2872a9e8f01d"

@@ -587,6 +587,24 @@ def test_a_product_set_stores_syllables_not_elements():
     assert held / len(level3) < 200
 
 
+def test_a_product_set_peaks_at_its_last_level():
+    # 60 seeded F_2 words, n = 3 (214,903 elements): the returned set keeps
+    # the last level's table, so making it peaks no higher than counting
+    # the same levels; a copy of the table would peak about 1.25 times as high
+    rng = random.Random(3)
+    U = ElementSet(F2, [random_reduced_word(rng, F2, rng.randint(4, 8)) for _ in range(60)])
+    peaks = []
+    for make in (lambda: list(product_sizes([U] * 3, 10**7)), lambda: product_set(U, 3)):
+        tracemalloc.start()
+        try:
+            made = make()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del made
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
 def test_product_set_submultiplicative():
     rng = random.Random(5)
     for _ in range(10):
