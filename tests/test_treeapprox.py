@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -128,6 +129,20 @@ def test_export_structure():
         for key, node in data["f_images"].items():
             assert depth_of(node) == space.dist(x0, points[key])
 
+        # and the tree distance between any two images is the oracle's
+        def ancestors(i):
+            while i != -1:
+                yield i
+                i = data["parent"][i]
+
+        samples, tree_distance = oracle_tree(space, x0, targets)
+        for a, b in itertools.combinations(samples, 2):
+            na, nb = (data["f_images"][space.encode_point(p)] for p, _, _ in (a, b))
+            above_b = set(ancestors(nb))
+            meet = next(i for i in ancestors(na) if i in above_b)
+            got = depth_of(na) + depth_of(nb) - 2 * depth_of(meet)
+            assert got == tree_distance(a, b)
+
 
 def test_no_targets_rejected(f2_tree):
     with pytest.raises(ValueError):
@@ -152,28 +167,38 @@ def oracle_closure(space, x0, targets) -> list:
     return div
 
 
-def oracle_distortion(space, x0, targets) -> tuple:
-    """(max_shrink, expansion_found, leg_isometry_ok, ok, n_pairs) by the
-    all-pairs loop over Fraction distances, with tree distances from
-    `oracle_closure` and each geodesic vertex on the first leg through it."""
+def oracle_tree(space, x0, targets) -> tuple:
+    """The samples, each geodesic vertex as (point, first leg through it,
+    Fraction depth), and the tree distance between two samples, from
+    `oracle_closure`."""
     div = oracle_closure(space, x0, targets)
     samples = {}
     for i, t in enumerate(targets):
         for k, p in enumerate(space.geodesic(x0, t)):
             samples.setdefault(space.point_key(p), (p, i, k * space.rho0))
-    samples = list(samples.values())
+
+    def tree_distance(a, b):
+        (_, i, s), (_, j, t) = a, b
+        return abs(s - t) if i == j else s + t - 2 * min(s, t, div[i][j])
+
+    return list(samples.values()), tree_distance
+
+
+def oracle_distortion(space, x0, targets) -> tuple:
+    """(max_shrink, expansion_found, leg_isometry_ok, ok, n_pairs) by the
+    all-pairs loop over Fraction distances and `oracle_tree`."""
+    samples, tree_distance = oracle_tree(space, x0, targets)
     max_shrink = Fraction(0)
     expansion = False
     pairs = 0
-    for idx, (p, i, s) in enumerate(samples):
-        for q, j, t in samples[idx + 1 :]:
-            real = space.dist(p, q)
-            tree = abs(s - t) if i == j else s + t - 2 * min(s, t, div[i][j])
-            pairs += 1
-            if tree > real:
-                expansion = True
-            elif real - tree > max_shrink:
-                max_shrink = real - tree
+    for a, b in itertools.combinations(samples, 2):
+        real = space.dist(a[0], b[0])
+        tree = tree_distance(a, b)
+        pairs += 1
+        if tree > real:
+            expansion = True
+        elif real - tree > max_shrink:
+            max_shrink = real - tree
     # the root is at tree distance s from a sample at depth s
     leg_iso = all(s == space.dist(x0, p) for p, _, s in samples)
     ok = within_log_bound(max_shrink, space.delta, len(targets)) and not expansion and leg_iso
