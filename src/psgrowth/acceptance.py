@@ -458,12 +458,16 @@ def criterion_7(seed: int = 7070) -> CriterionResult:
                     return False, {"failed": "powers", "g": str(g), "n": n}
             checks["powers"] += 1
 
-        # oracle equivalence on every g with |g| <= 6: [g] equals the
+        # oracle equivalence on every g with 0 < |g| <= 6: [g] equals the
         # exhaustive minimum displacement over the radius-4 ball (which
-        # contains an axis vertex since the conjugator has length <= 3)
-        spheres = [tree.sphere(tree.basepoint(), k) for k in range(1, 7)]
-        ball = [tree.basepoint()] + [x for sphere in spheres[:4] for x in sphere]
-        all_words = [g for sphere in spheres for g in sphere]
+        # contains an axis vertex since the conjugator has length <= 3);
+        # the radius-6 ball is the sixth power of {1, a, A, b, B}, in
+        # shortlex order with the identity first
+        letters = ctx.generators()
+        step = ElementSet(ctx, [ctx.identity(), *letters, *(g.inverse() for g in letters)])
+        words = list(product_set(step, 6))
+        ball = [g for g in words if g.word_length() <= 4]
+        all_words = words[1:]
         for g in all_words:
             expected = min(tree.dist(x, tree.act(g, x)) for x in ball)
             if translation_length(tree, g).translation_length != expected:

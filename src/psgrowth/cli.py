@@ -245,6 +245,8 @@ def build_set(cfg: dict, space, seed: int) -> ElementSet:
     if kind == "explicit":
         if "elements" not in section:
             raise ConfigError("explicit set needs 'elements'")
+        if not section["elements"]:
+            raise ConfigError("set.elements: U must be nonempty")
         return ElementSet(
             ctx,
             [_parse_at(ctx, t, f"set.elements[{i}]") for i, t in enumerate(section["elements"])],

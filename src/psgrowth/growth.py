@@ -147,6 +147,8 @@ def growth_report(
     comparisons that the theorems do not claim."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if len(U) == 0:
+        raise ValueError("U must be nonempty")
     alpha = theorem_alpha(space, U)
     reason = virtually_cyclic_reason(space, U)
 
@@ -163,7 +165,7 @@ def growth_report(
     except BudgetExceededError:
         truncated = True
 
-    entropy_display = _half_log(alpha, len(U)) if len(U) else 0.0
+    entropy_display = _half_log(alpha, len(U))
     prof = classify(space, U, minimize_energy(space, U), mode) if reason is None else None
     trace = []
     if prof is not None:

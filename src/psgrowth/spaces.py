@@ -39,9 +39,6 @@ def _as_fraction(x) -> Fraction:
 # sorts with the (generator, exponent) syllable labels.
 TAG_STEP = (-1, 0)
 
-# the most points a free-group sphere lists
-SPHERE_CAP = 200_000
-
 
 def _check_steps(k: int, length: int) -> None:
     if not 0 <= k <= length:
@@ -69,13 +66,12 @@ class ActionSpace:
     kappa0: Fraction
     N0: int
     context: Optional[PresentationContext]
-    # the tree backends: delta = 0, and the tree-only method `orbit_labels`
-    # exists
+    # the tree backends: delta = 0, and the tree-only methods `orbit_labels`
+    # and `point_at` exist
     is_tree = False
 
-    # subclasses implement: hops, act, geodesic, point_at, basepoint,
-    # check_point, point_key, encode_point, translation_length;
-    # FreeGroupTree alone lists a sphere (of the whole free group)
+    # subclasses implement: hops, act, geodesic, basepoint, check_point,
+    # point_key, encode_point, translation_length
 
     def _set_scale(self, rho0, kappa0, N0) -> None:
         """Store the edge length rho0, the acylindricity distance kappa0
@@ -196,33 +192,6 @@ class FreeGroupTree(ActionSpace):
         if self.dist(conj, end) != length:
             raise RuntimeError("free group translation length mismatch")
         return AxisData(g, length, True, tuple(self.geodesic(conj, end)), conj)
-
-    def sphere(self, x, r) -> list:
-        k = self.steps(r)
-        if k == 0:
-            return [x]
-        m = self.context.rank
-        count = 2 * m * (2 * m - 1) ** (k - 1)
-        if count > SPHERE_CAP:
-            raise ValueError(f"sphere would have {count} points, over {SPHERE_CAP}")
-        out = []
-        stack = [(x, None, 0)]
-        letters = [
-            GroupElement(self.context, ((g, s),))
-            for g in range(m)
-            for s in (1, -1)
-        ]
-        while stack:
-            v, last, depth = stack.pop()
-            if depth == k:
-                out.append(v)
-                continue
-            for l in letters:
-                g, s = l.syllables[0]
-                if last is not None and last == (g, -s):
-                    continue
-                stack.append((v * l, (g, s), depth + 1))
-        return sorted(out, key=self.point_key)
 
 
 class FreeProductTree(ActionSpace):
@@ -524,16 +493,6 @@ class FiniteHypGraph(ActionSpace):
             path.append(pred[path[-1]])
         path.reverse()
         return path
-
-    def point_at(self, x, y, k: int) -> int:
-        """`geodesic(x, y)[k]`: the walk back from y along the same
-        predecessors, without building the rest of the geodesic."""
-        length = self.hops(x, y)
-        _check_steps(k, length)
-        pred = self._predecessors(x)
-        for _ in range(length - k):
-            y = pred[y]
-        return y
 
     def translation_length(self, g: GroupElement) -> AxisData:
         """The minimum displacement as an exhaustive minimum over vertices,

@@ -19,7 +19,6 @@ import math
 import random
 import string
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 FREE = "free"
@@ -312,46 +311,25 @@ def cyclic_reduce(a: GroupElement) -> tuple[GroupElement, GroupElement]:
     """Write a = c * core * c^-1 with core of minimal length in the
     conjugacy class.
 
-    Free groups: the core's first and last letters are not inverse.
-    Free products: the core's first and last syllables lie in different
-    factors (or the core is a single syllable / trivial).
-    """
+    The core's first and last syllables lie in different factors, or the
+    core is a single syllable or trivial.  A free group is the free product
+    of its infinite cyclic factors, so there the core is also cyclically
+    reduced letter by letter."""
     ctx = a.context
     syl = [list(s) for s in a.syllables]
     conj: list[tuple[int, int]] = []
-
-    if ctx.kind == FREE:
-        while len(syl) >= 2:
-            g1, e1 = syl[0]
-            g2, e2 = syl[-1]
-            if g1 != g2 or (e1 > 0) == (e2 > 0):
-                break
-            t = min(abs(e1), abs(e2))
-            sgn = 1 if e1 > 0 else -1
-            _push(ctx, conj, g1, sgn * t)
-            e1 -= sgn * t
-            e2 += sgn * t
-            if e1 == 0:
-                syl.pop(0)
-            else:
-                syl[0][1] = e1
-            if e2 == 0:
-                syl.pop()
-            else:
-                syl[-1][1] = e2
-    else:
-        while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
-            g, e_last = syl[-1]
-            _push(ctx, conj, g, -e_last)
-            syl.pop()
-            merged = syl[0][1] + e_last
-            if ctx.orders[g] is not None:
-                merged %= ctx.orders[g]
-            if merged == 0:
-                syl.pop(0)
-            else:
-                syl[0][1] = merged
-
+    while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
+        g, e_last = syl[-1]
+        _push(ctx, conj, g, -e_last)
+        syl.pop()
+        merged = syl[0][1] + e_last
+        n = ctx.order_of(g)
+        if n is not None:
+            merged %= n
+        if merged == 0:
+            syl.pop(0)
+        else:
+            syl[0][1] = merged
     return _element(ctx, tuple(map(tuple, syl))), _element(ctx, tuple(conj))
 
 
@@ -359,8 +337,10 @@ def primitive_root(a: GroupElement) -> tuple[GroupElement, int]:
     """Largest k with a = root**k; the root is not a proper power.
 
     A core of one syllable g^e of an infinite factor has root g or g^-1 and
-    power |e|.  For free products, torsion elements (a core of one syllable
-    of a finite factor) are returned as their own root with power 1.
+    power |e|.  Torsion elements (a core of one syllable of a finite
+    factor) are returned as their own root with power 1.  Otherwise the
+    root core is the shortest syllable period of the core: its two ends lie
+    in different factors, so its powers repeat its syllables with no merge.
     """
     if a.is_identity:
         raise ValueError("identity has no primitive root")
@@ -373,22 +353,11 @@ def primitive_root(a: GroupElement) -> tuple[GroupElement, int]:
             return a, 1
         root_core = _element(ctx, ((g, 1 if e > 0 else -1),))
         return conj * root_core * conj.inverse(), abs(e)
-    items = core.letters() if ctx.kind == FREE else core.syllables
-
+    items = core.syllables
     n = len(items)
     for d in range(1, n + 1):
-        if n % d:
-            continue
-        if items[:d] * (n // d) == items:
-            if ctx.kind == FREE:
-                # a prefix of a reduced word: runs of one letter are its syllables
-                root_core = _element(
-                    ctx, tuple((g, s * len(list(run))) for (g, s), run in groupby(items[:d]))
-                )
-            else:
-                root_core = _element(ctx, items[:d])
-            root = conj * root_core * conj.inverse()
-            return root, n // d
+        if n % d == 0 and items[:d] * (n // d) == items:
+            return conj * _element(ctx, items[:d]) * conj.inverse(), n // d
     raise RuntimeError("unreachable: d = n always matches")
 
 
@@ -431,20 +400,18 @@ class ElementSet:
     The set is stored as the normal-form syllable tuples of its members, so
     size, membership, equality and hashing never touch an element object.
     Iteration order is canonical (shortlex), so reports built from an
-    ElementSet are reproducible; it yields the elements the set was built
-    from, or, for a set built from syllables, elements made on the first
-    iteration.
+    ElementSet are reproducible; its elements are made from the syllables
+    on the first iteration and kept.
     """
 
     def __init__(self, context: PresentationContext, members: Iterable[GroupElement]):
-        given: dict[tuple, GroupElement] = {}
+        syllables = set()
         for m in members:
             if m.context is not context and m.context != context:
                 raise ValueError("element context mismatch")
-            given.setdefault(m.syllables, m)
+            syllables.add(m.syllables)
         self.context = context
-        self._members = frozenset(given)
-        self._given = list(given.values())
+        self._members = frozenset(syllables)
         self._sorted: Optional[list[GroupElement]] = None
 
     @classmethod
@@ -453,22 +420,17 @@ class ElementSet:
     ) -> "ElementSet":
         """The set of the normal forms `syllables`, trusted to be in normal
         form over `context`.  The set (or frozenset) is kept, not copied,
-        so no caller may change it later; no element is built until it is
-        iterated."""
+        so no caller may change it later."""
         self = object.__new__(cls)
         self.context = context
         self._members = syllables
-        self._given = None
         self._sorted = None
         return self
 
     def _ordered(self) -> list[GroupElement]:
         if self._sorted is None:
-            if self._given is None:
-                ctx = self.context
-                self._sorted = [_element(ctx, s) for s in sorted(self._members, key=_shortlex)]
-            else:
-                self._sorted = sorted(self._given, key=GroupElement.sort_key)
+            ctx = self.context
+            self._sorted = [_element(ctx, s) for s in sorted(self._members, key=_shortlex)]
         return self._sorted
 
     def __iter__(self) -> Iterator[GroupElement]:
@@ -492,8 +454,8 @@ class ElementSet:
         )
 
     def __hash__(self) -> int:
-        # a GroupElement hashes as its syllables; a set kept by
-        # `_from_syllables` is frozen the first time it is hashed
+        # every set holds syllable tuples; one kept by `_from_syllables`
+        # is frozen the first time it is hashed
         if not isinstance(self._members, frozenset):
             self._members = frozenset(self._members)
         return hash((self.context, self._members))

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from psgrowth.spaces import FiniteHypGraph, FreeGroupTree, FreeProductTree
-from psgrowth.words import parse
+from psgrowth.spaces import FreeGroupTree, FreeProductTree
+from psgrowth.words import ElementSet, parse, product_set
 
 
 @pytest.fixture
@@ -31,6 +31,15 @@ def w(space_or_ctx, text):
     return parse(ctx, text)
 
 
+def ball(tree, r):
+    """The ball of radius r >= 1 about 1 in a free-group tree, in shortlex
+    order: the r-th power of the set of 1, the generators and their inverses."""
+    ctx = tree.context
+    letters = ctx.generators()
+    step = ElementSet(ctx, [ctx.identity(), *letters, *(g.inverse() for g in letters)])
+    return list(product_set(step, r))
+
+
 def tree_vertex(tree, text, tag):
     """The vertex of a word (and, on the Bass-Serre tree, a tag)."""
     g = w(tree, text)
@@ -40,10 +49,3 @@ def tree_vertex(tree, text, tag):
 def digest(report: dict) -> str:
     """A short sha256 of a report's canonical JSON, to pin it in full."""
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def sun_graph(n):
-    """C_n with one pendant vertex per cycle vertex, rotated together."""
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
-    perm = [(i + 1) % n for i in range(n)] + [n + (i + 1) % n for i in range(n)]
-    return FiniteHypGraph(2 * n, edges, [perm])

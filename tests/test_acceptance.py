@@ -100,6 +100,12 @@ def test_acceptance_6():
 def test_acceptance_7():
     res = _report(acceptance.criterion_7())
     assert res.passed
+    # the oracle words are every nonidentity word of length <= 6 in F_2
+    assert res.details == {
+        "checks": {"metric": 150, "four_point": 150, "conjugation": 80, "powers": 80,
+                   "oracle": 1456},
+        "oracle_words": 1456,
+    }
 
 
 def test_acceptance_8():

@@ -327,6 +327,12 @@ LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_tree", "is_periodic
 @pytest.mark.parametrize(
     "cfg, key",
     [
+        # an empty explicit set: growth called it the identity alone, period
+        # refused it as too small, energy and reduce named no key
+        ({"command": "growth", "set": {"elements": []}}, "set.elements"),
+        ({"command": "energy", "set": {"elements": []}}, "set.elements"),
+        ({"command": "reduce", "set": {"elements": []}, "mode": PRACTICAL}, "set.elements"),
+        ({"command": "period", "set": {"elements": []}}, "set.elements"),
         ({"command": "growth", "set": {"elements": ["ab", "a!"]}}, "set.elements[1]"),
         ({"command": "energy", "set": {"elements": ["c"]}}, "set.elements[0]"),
         ({"command": "period", "set": {"elements": ["ab"]}, "period": {"root": "abz"}},
@@ -360,7 +366,8 @@ LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_tree", "is_periodic
         ({"command": "reduce", "set": {"kind": "random", "count": 80, "max_length": 8},
           "seed": 11}, "reduce.r"),
     ],
-    ids=["set_bad_character", "set_letter_outside_rank", "period_root_bad_letter",
+    ids=["set_empty_growth", "set_empty_energy", "set_empty_reduce", "set_empty_period",
+         "set_bad_character", "set_letter_outside_rank", "period_root_bad_letter",
          "period_root_identity", "pingpong_root_identity", "pingpong_root_bad_character",
          "pingpong_t_outside_rank", "period_root_elliptic", "pingpong_root_elliptic",
          "reduce_r_half_edge", "reduce_r_zero",

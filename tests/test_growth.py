@@ -92,6 +92,12 @@ def test_growth_report_not_applicable(f2_tree):
     assert rep.sizes[3] == 4  # exactly-3-fold sums of {1,2}: exponents 3..6
 
 
+def test_growth_report_rejects_an_empty_set(f2_tree):
+    # the empty set is not the identity alone: there is no U^n to count
+    with pytest.raises(ValueError, match="U must be nonempty"):
+        growth_report(f2_tree, eset(f2_tree), 3, PRACTICAL)
+
+
 def test_growth_report_safin_counts(f2_tree):
     # frozen counts from the independent oracle (see test_words oracle)
     rep = growth_report(f2_tree, safin_family(f2_tree.context, 2), 3, PRACTICAL)

@@ -16,7 +16,7 @@ from psgrowth.hypgeom import (
 from psgrowth.spaces import FiniteHypGraph, cycle_graph, random_connected_graph
 from psgrowth.words import random_reduced_word
 
-from conftest import w
+from conftest import ball, w
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +191,10 @@ def test_translation_length_conjugation_and_powers(f2_tree):
 def test_translation_length_oracle_equivalence(f2_tree):
     # independent oracle: min displacement over the ball of radius 4
     rng = random.Random(27)
-    ball = [f2_tree.basepoint()]
-    for r in range(1, 5):
-        ball.extend(f2_tree.sphere(f2_tree.basepoint(), r))
+    points = ball(f2_tree, 4)
     for _ in range(15):
         g = random_reduced_word(rng, f2_tree.context, rng.randint(1, 8))
-        expected = min(f2_tree.dist(x, f2_tree.act(g, x)) for x in ball)
+        expected = min(f2_tree.dist(x, f2_tree.act(g, x)) for x in points)
         assert translation_length(f2_tree, g).translation_length == expected
 
 

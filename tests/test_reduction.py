@@ -9,7 +9,7 @@ from psgrowth.energy import minimize_energy
 from psgrowth.reduction import certify_cross_products, median_split, reduce_tree, reduced_at
 from psgrowth.words import ElementSet, random_reduced_word, safin_family
 
-from conftest import TREES, w
+from conftest import TREES, ball, w
 
 
 def eset(space, *texts):
@@ -273,7 +273,7 @@ F2 = TREES["F2"]
 ONE = F2.basepoint()
 # 99 words of lengths 2..4 and one of length 8: at r = 2 only the long one
 # moves 1 at least 4r, and one element never carries more than |U| / 100
-SHORT = [str(v) for k in (2, 3, 4) for v in F2.sphere(ONE, k)][:99]
+SHORT = [str(v) for v in ball(F2, 4) if v.word_length() >= 2][:99]
 
 
 def failed(reason, tolerance="1", **counts):

@@ -4,7 +4,7 @@ import string
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psgrowth import words
@@ -281,9 +281,7 @@ def test_cyclic_reduce_recomposes_in_every_context(name, x):
     assert_normal_form(core)
     assert_normal_form(conj)
     assert conj * core * conj.inverse() == g
-    assert core.syllable_count <= 1 or core.first_factor() != core.last_factor() or (
-        core.context is F2 and core.syllables[0][1] * core.syllables[-1][1] > 0
-    )
+    assert core.syllable_count <= 1 or core.first_factor() != core.last_factor()
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +338,52 @@ def test_primitive_root_roundtrip_in_every_context(name, x, k):
     root, power = primitive_root(g)
     assert_normal_form(root)
     assert root ** power == g
+
+
+def letter_word(letters):
+    return "".join(chr(97 + g) if s > 0 else chr(65 + g) for g, s in letters) or "1"
+
+
+def letter_root(text):
+    """The free-group oracle from letters alone, for a nontrivial word: strip
+    inverse end letters, then take the shortest letter period of what is
+    left.  Returns the stripped prefix, the cyclic core, its period and the
+    power."""
+    core = list(to_letters(text))
+    conj = []
+    while len(core) >= 2 and core[0][0] == core[-1][0] and core[0][1] == -core[-1][1]:
+        conj.append(core[0])
+        core = core[1:-1]
+    n = len(core)
+    d = next(d for d in range(1, n + 1) if n % d == 0 and core[:d] * (n // d) == core)
+    return conj, core, core[:d], n // d
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(
+    st.tuples(st.just(2), st.text(alphabet="abAB", min_size=1, max_size=16)),
+    st.tuples(st.just(3), st.text(alphabet="abcABC", min_size=1, max_size=16)),
+))
+@example((2, "aba"))
+@example((2, "bAAbb"))
+@example((2, "bbbABBBB"))
+@example((2, "aabAA"))
+@example((2, "abaaba"))  # a square whose end letters agree
+def test_free_group_reduction_matches_the_letter_oracle(case):
+    rank, text = case
+    ctx = free_group(rank)
+    g = parse(ctx, text)
+    core, _ = cyclic_reduce(g)
+    if g.is_identity:
+        assert core.is_identity
+        return
+    conj, core_letters, period, k = letter_root(text)
+    assert core.word_length() == len(core_letters)
+    assert core.syllable_count <= 1 or core.first_factor() != core.last_factor()
+    length = FreeGroupTree(rank).translation_length(g).translation_length
+    assert length == len(core_letters)
+    c = parse(ctx, letter_word(conj))
+    assert primitive_root(g) == (c * parse(ctx, letter_word(period)) * c.inverse(), k)
 
 
 def test_power_of():
@@ -687,10 +731,10 @@ def test_membership_needs_the_same_context():
     assert x not in ElementSet(Z5Z7, [y])
 
 
-def test_iteration_yields_the_given_elements():
-    members = [parse(F2, t) for t in ("ab", "A", "1", "bbA")]
+def test_iteration_is_shortlex_and_keeps_its_elements():
+    members = [parse(F2, t) for t in ("ab", "A", "1", "bbA", "ab")]
     U = ElementSet(F2, members)
-    assert sorted(map(id, U)) == sorted(map(id, members))
+    assert list(U) == [parse(F2, t) for t in ("1", "A", "ab", "bbA")]
     assert all(x is y for x, y in zip(U, U))
 
 
