@@ -197,22 +197,26 @@ def _reduce_radius(cfg: dict, space, mode: Mode):
 
 
 def build_space(cfg: dict):
+    """The backend; a value its constructor rejects is a config error at `space`."""
     section = cfg["space"]
     backend = section["backend"]
     rho0 = _frac(section.get("rho0"), Fraction(1))
     kappa0 = _frac(section.get("kappa0"))
     n0 = section.get("n0", 1)
-    if backend == "free_group":
-        if "rank" not in section:
-            raise ConfigError("free_group needs 'rank'")
-        return FreeGroupTree(section["rank"], rho0=rho0, kappa0=kappa0, N0=n0)
-    if backend == "free_product":
-        if "orders" not in section:
-            raise ConfigError("free_product needs 'orders'")
-        return FreeProductTree(section["orders"], rho0=rho0, kappa0=kappa0, N0=n0)
-    if "graph" not in section:
-        raise ConfigError("graph backend needs 'graph'")
-    return load_graph(section["graph"], rho0=rho0, kappa0=kappa0, N0=n0)
+    try:
+        if backend == "free_group":
+            if "rank" not in section:
+                raise ConfigError("free_group needs 'rank'")
+            return FreeGroupTree(section["rank"], rho0=rho0, kappa0=kappa0, N0=n0)
+        if backend == "free_product":
+            if "orders" not in section:
+                raise ConfigError("free_product needs 'orders'")
+            return FreeProductTree(section["orders"], rho0=rho0, kappa0=kappa0, N0=n0)
+        if "graph" not in section:
+            raise ConfigError("graph backend needs 'graph'")
+        return load_graph(section["graph"], rho0=rho0, kappa0=kappa0, N0=n0)
+    except ValueError as exc:
+        raise ConfigError(f"space: {exc}") from None
 
 
 # a random set's size when the config leaves it out
@@ -254,7 +258,10 @@ def build_set(cfg: dict, space, seed: int) -> ElementSet:
     if kind == "safin":
         if "n_big" not in section:
             raise ConfigError("safin set needs 'n_big'")
-        return safin_family(ctx, section["n_big"])
+        try:
+            return safin_family(ctx, section["n_big"])
+        except ValueError as exc:  # fewer than two generators, or a finite first one
+            raise ConfigError(f"set.kind: safin: {exc}") from None
     # random: uniform over reduced words of length <= max_length
     count = section.get("count", _RANDOM_SET_COUNT)
     max_len = section.get("max_length", _RANDOM_SET_MAX_LENGTH)
@@ -502,7 +509,7 @@ def main(argv=None) -> int:
 
     try:
         code = run_config(cfg, Path(args.out))
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetExceededError as exc:

@@ -270,7 +270,7 @@ def concentrated_pipeline(
     Paper mode uses threshold kappa0, witness floor 10^4 kappa0, offset
     500 kappa0, spacing 42 kappa0; practical mode scales all of these from
     the concentration threshold T (witness floor 4 max(T, rho0), offset
-    rho0, spacing > 0), and the chain margin check remains the gate.
+    rho0, spacing > 0), and the chain margin alpha > 0 remains the gate.
 
     On a finite graph it stops before the chain: no element there is
     hyperbolic."""
@@ -320,8 +320,8 @@ def concentrated_pipeline(
         + [space.gromov_product(v_inv_x0, p, x0) for p in pts]
     )
     min_step = min(space.dist(x0, p) for p in [vx0] + pts)
-    alpha = min_step / 2 - max_prod - space.delta
-    ok = alpha > 9 * space.delta
+    alpha = min_step / 2 - max_prod
+    ok = alpha > 0
 
     sizes = {}
     if ok:

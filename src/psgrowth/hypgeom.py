@@ -7,7 +7,8 @@ element is computed from the cyclic reduction of its word, never from
 floating point or sampling.  Translation lengths come from the backends
 themselves, and only the tree backends have hyperbolic elements: every
 isometry of a finite graph has finite order, so the axis, cylinder and
-overlap tools refuse graph elements.  The rest reads only `delta`.
+overlap tools refuse graph elements, and the overlap bound has no delta
+term.  `Constants` and `chain_certificate` keep theirs for every backend.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def small_cancellation_diameter(
     space: ActionSpace, e_root: GroupElement, f_root: GroupElement
 ) -> OverlapReport:
     """Diameter of the overlap of the two invariant cylinders, against the
-    bound 3*nu*max([E],[E']) + A*delta + 1684*delta.
+    bound 3*nu*max([E],[E']) (the paper's, with delta = 0).
 
     The cylinders are the two axes; their overlap is computed exactly on an
     adaptive window and verified to lie strictly inside it.
@@ -199,11 +200,7 @@ def small_cancellation_diameter(
         raise ValueError("both roots must be hyperbolic")
     if _same_maximal_loxodromic(e_root, f_root):
         raise ValueError("E and E' coincide (equal primitive roots)")
-    bound = (
-        3 * consts.nu * max(ax_e.translation_length, ax_f.translation_length)
-        + consts.A * space.delta
-        + 1684 * space.delta
-    )
+    bound = 3 * consts.nu * max(ax_e.translation_length, ax_f.translation_length)
     bound_steps = -int(-bound / space.rho0 // 1)  # ceil(bound / rho0)
     steps_e = len(ax_e.axis_segment) - 1
     steps_f = len(ax_f.axis_segment) - 1

@@ -1,10 +1,10 @@
 """Periodic elements, bi-periodic sets, E-reduced decompositions, ping-pong
 certificates, and separation inside a maximal loxodromic subgroup.
 
-An element v is E-periodic at x0 when x0 and v x0 both lie in the (fattened)
-invariant cylinder of E and v translates along it further than the period
-threshold (3*nu*[E] + A*delta + 10^7*delta in paper mode; on trees the
-delta terms vanish, so paper mode is exact and usable at desk scale).
+Only the trees have hyperbolic elements, so every bound here is the
+paper's with delta = 0.  An element v is E-periodic at x0 when x0 and v x0
+lie on the axis of E and v moves x0 further than the period threshold
+(3*nu*[E] in paper mode, or the practical override).
 
 Certificates and refusals carry every checked inequality as
 (name, lhs, rhs) triples; nothing is trusted from the construction.
@@ -20,6 +20,8 @@ from typing import Sequence
 from .hypgeom import AxisData, Constants, axis_distance, translation_length
 from .spaces import ActionSpace
 from .words import ElementSet, GroupElement, power_of, primitive_root, product_sizes
+
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -76,29 +78,22 @@ def _normalized_root(space: ActionSpace, e_root: GroupElement) -> tuple[GroupEle
     return root, axis
 
 
-def period_threshold(space: ActionSpace, e_length: Fraction, threshold=None) -> Fraction:
-    """3*nu*[E] + A*delta + 10^7*delta, or the practical override."""
-    if threshold is not None:
-        return Fraction(threshold)
-    c = Constants.for_space(space)
-    return 3 * c.nu * e_length + c.A * space.delta + 10**7 * space.delta
-
-
 def is_periodic(
     space: ActionSpace, v: GroupElement, e_root: GroupElement, x0, threshold=None
 ):
     """Certify that v is E-periodic at x0, or refuse with the failed check."""
     root, axis = _normalized_root(space, e_root)
-    margin = 190 * space.delta
-    tval = period_threshold(space, axis.translation_length, threshold)
-    mode = "paper" if threshold is None else "practical"
+    if threshold is None:
+        tval, mode = 3 * Constants.for_space(space).nu * axis.translation_length, "paper"
+    else:
+        tval, mode = Fraction(threshold), "practical"
 
     d_x0 = axis_distance(space, axis, x0)
     d_vx0 = axis_distance(space, axis, space.act(v, x0))
     disp = space.dist(x0, space.act(v, x0))
     checks = (
-        Check("x0_in_cylinder", d_x0, margin, d_x0 <= margin),
-        Check("vx0_in_cylinder", d_vx0, margin, d_vx0 <= margin),
+        Check("x0_in_cylinder", d_x0, ZERO, d_x0 == 0),
+        Check("vx0_in_cylinder", d_vx0, ZERO, d_vx0 == 0),
         Check("translation_exceeds_threshold", disp, tval, disp > tval),
     )
     if not all(c.ok for c in checks):
@@ -122,12 +117,12 @@ def extract_period_from_equations(
     and certify v periodic with that period.
 
     Checked hypotheses (refusal names the first violated one): equal
-    products; junction reducedness; |v x0 - x0| > 26 delta; the symmetry
-    bound |u_i x0 - u_j x0| <= |v x0 - x0|; distinct consecutive u_i; in
-    paper mode additionally n >= 5 nu and consecutive spacing
-    > A delta + 10^8 delta; hyperbolic connectors, which a finite graph
-    never has.  What these imply on a tree (one common root, the cylinder
-    and junction bounds) is rechecked and raises RuntimeError."""
+    products; v x0 != x0; reduced junctions; the symmetry bound
+    |u_i x0 - u_j x0| <= |v x0 - x0|; distinct consecutive u_i; in paper
+    mode n >= 5 nu and distinct consecutive u_i x0; hyperbolic connectors,
+    which a finite graph never has.  What these imply on a tree (one common
+    root, the zero cylinder and junction bounds) is rechecked and raises
+    RuntimeError."""
     if len(equations) < 2:
         return Refusal("TooFewEquations", detail=f"got {len(equations)}")
     v = equations[0][1]
@@ -138,20 +133,18 @@ def extract_period_from_equations(
     if any(p != products[0] for p in products):
         return Refusal("ProductsNotEqual")
 
-    delta = space.delta
-    tol = delta  # reduced products: junction Gromov product <= delta
     vx0 = space.act(v, x0)
     disp_v = space.dist(x0, vx0)
-    checks = [Check("v_moves_base", disp_v, 26 * delta, disp_v > 26 * delta)]
+    checks = [Check("v_moves_base", disp_v, ZERO, disp_v > 0)]
     if not checks[-1].ok:
         return Refusal("MiddleTooShort", tuple(checks))
 
     inv_v_x0 = space.act(v.inverse(), x0)
     for u, _, w_ in equations:
         pu = space.gromov_product(space.act(u.inverse(), x0), vx0, x0)
-        checks.append(Check("uv_reduced", pu, tol, pu <= tol))
+        checks.append(Check("uv_reduced", pu, ZERO, pu == 0))
         pw = space.gromov_product(inv_v_x0, space.act(w_, x0), x0)
-        checks.append(Check("vw_reduced", pw, tol, pw <= tol))
+        checks.append(Check("vw_reduced", pw, ZERO, pw == 0))
         if not (checks[-1].ok and checks[-2].ok):
             return Refusal("ProductsNotReduced", tuple(checks))
 
@@ -178,10 +171,9 @@ def extract_period_from_equations(
             Check("paper_equation_count", Fraction(len(equations)), need_n,
                   Fraction(len(equations)) >= need_n)
         )
-        spacing_floor = c.A * delta + 10**8 * delta
         for ui, uj in consecutive:
             gap = space.dist(pts[ui], pts[uj])
-            checks.append(Check("paper_spacing", gap, spacing_floor, gap > spacing_floor))
+            checks.append(Check("paper_spacing", gap, ZERO, gap > 0))
         if not all(c_.ok for c_ in checks):
             return Refusal("PaperHypothesesUnmet", tuple(checks))
 
@@ -191,28 +183,25 @@ def extract_period_from_equations(
             return Refusal("ConnectorNotHyperbolic", tuple(checks), detail=str(ax.element))
     # Only trees get here, where the checks above imply the rest: each
     # connector shifts the edges of [x0, v x0] along themselves, so by
-    # Fine-Wilf all connectors are powers of one element, and with delta = 0
-    # every bound below holds.  A failure here is a bug, never a refusal.
+    # Fine-Wilf all connectors are powers of one element, and every bound
+    # below is 0.  A failure here is a bug, never a refusal.
     ref = primitive_root(conn[0])[0]
     if any(primitive_root(h)[0] not in (ref, ref.inverse()) for h in conn[1:]):
         raise RuntimeError(f"connectors {[str(h) for h in conn]} have different roots")
 
-    # Prop (reduced products): x0 and v x0 lie in C_{u_i^-1 u_{i+1}}^{+190 delta},
-    # and the three junction products obey 24/66/138 delta.
-    margin = 190 * delta
+    # Prop (reduced products): x0 and v x0 lie on the axis of u_i^-1 u_{i+1},
+    # and the three junction products (24, 66 and 138 delta in the paper) are 0.
     for (ui, uj), ax in zip(consecutive, axes):
-        d0 = axis_distance(space, ax, x0)
-        d1 = axis_distance(space, ax, vx0)
-        checks.append(Check("x0_in_connector_cylinder", d0, margin, d0 <= margin))
-        checks.append(Check("vx0_in_connector_cylinder", d1, margin, d1 <= margin))
-        p1 = space.gromov_product(x0, pts[uj], pts[ui])
-        p2 = space.gromov_product(pts[ui], space.act(ui * v, x0), pts[uj])
-        p3 = space.gromov_product(
-            pts[uj], space.act(uj * v, x0), space.act(ui * v, x0)
-        )
-        checks.append(Check("junction_24delta", p1, 24 * delta, p1 <= 24 * delta))
-        checks.append(Check("junction_66delta", p2, 66 * delta, p2 <= 66 * delta))
-        checks.append(Check("junction_138delta", p3, 138 * delta, p3 <= 138 * delta))
+        for name, value in (
+            ("x0_in_connector_cylinder", axis_distance(space, ax, x0)),
+            ("vx0_in_connector_cylinder", axis_distance(space, ax, vx0)),
+            ("junction_24delta", space.gromov_product(x0, pts[uj], pts[ui])),
+            ("junction_66delta",
+             space.gromov_product(pts[ui], space.act(ui * v, x0), pts[uj])),
+            ("junction_138delta",
+             space.gromov_product(pts[uj], space.act(uj * v, x0), space.act(ui * v, x0))),
+        ):
+            checks.append(Check(name, value, ZERO, value == 0))
     failed = [c_.name for c_ in checks if not c_.ok]
     if failed:
         raise RuntimeError(f"reduced-product bounds failed: {failed}")
@@ -341,14 +330,6 @@ def e_reduce(space: ActionSpace, t: GroupElement, e_root: GroupElement, x0):
     return e, t_prime, f
 
 
-def is_e_reduced(space: ActionSpace, t: GroupElement, e_root: GroupElement, x0) -> bool:
-    res = e_reduce(space, t, e_root, x0)
-    if isinstance(res, Refusal):
-        return False
-    e, t_prime, f = res
-    return space.dist(x0, space.act(t_prime, x0)) == space.dist(x0, space.act(t, x0))
-
-
 # ---------------------------------------------------------------------------
 # ping pong
 
@@ -389,9 +370,9 @@ def pingpong_certify(
     proof, then verify the counts by brute-force enumeration.
 
     Hypotheses checked: V inside <root> with x0 on its axis; t E-reduced at
-    x0; displacement and pairwise spacing >= 10a (paper a = 3 nu [E] +
-    A delta + 10^5 delta, or the practical a_value); the chain Gromov
-    products over the proof's step alphabet admit a margin alpha > 9 delta."""
+    x0; displacement and pairwise spacing >= 10a (paper a = 3 nu [E], or
+    the practical a_value); the chain Gromov products over the proof's step
+    alphabet admit a margin alpha > 0."""
     root, axis = _normalized_root(space, e_root)
     members = list(V)
     checks = []
@@ -403,7 +384,7 @@ def pingpong_certify(
         )
 
     d_x0 = axis_distance(space, axis, x0)
-    checks.append(Check("x0_on_axis", d_x0, Fraction(0), d_x0 == 0))
+    checks.append(Check("x0_on_axis", d_x0, ZERO, d_x0 == 0))
     if not checks[-1].ok:
         return PingPongCertificate(False, checks=tuple(checks), reason="x0_off_axis")
 
@@ -413,14 +394,18 @@ def pingpong_certify(
                 False, checks=tuple(checks), reason=f"element {v} outside <root>"
             )
 
-    reduced = is_e_reduced(space, t, root, x0)
+    # t is E-reduced when it lies outside <root> and its E-reduced part moves
+    # x0 as far as t does
+    res = e_reduce(space, t, root, x0)
+    reduced = not isinstance(res, Refusal) and (
+        space.dist(x0, space.act(res[1], x0)) == space.dist(x0, space.act(t, x0))
+    )
     checks.append(Check("t_e_reduced", Fraction(int(reduced)), Fraction(1), reduced))
     if not reduced:
         return PingPongCertificate(False, checks=tuple(checks), reason="t_not_e_reduced")
 
     if a_value is None:
-        c = Constants.for_space(space)
-        a = 3 * c.nu * axis.translation_length + c.A * space.delta + 10**5 * space.delta
+        a = 3 * Constants.for_space(space).nu * axis.translation_length
     else:
         a = Fraction(a_value)
     pts = [space.act(v, x0) for v in members]
@@ -454,8 +439,8 @@ def pingpong_certify(
     )
     min_step = min(space.dist(x0, p) for p in pts + right_a + right_b)
 
-    alpha = min_step / 2 - max_product - space.delta
-    certified = alpha > 9 * space.delta
+    alpha = min_step / 2 - max_product
+    certified = alpha > 0
     checks.append(
         Check("chain_margin", max_product, min_step / 2, certified)
     )

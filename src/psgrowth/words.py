@@ -555,12 +555,15 @@ def safin_family(ctx: PresentationContext, N: int) -> ElementSet:
     generators.
 
     As a set this has 2N+2 elements; the powers-plus-identity block alone
-    has 2N+1 (both counts are reported by `safin_counts`).
+    has 2N+1 (both counts are reported by `safin_counts`).  The first
+    generator must have infinite order, or the powers repeat.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if ctx.num_generators < 2:
         raise ValueError("need at least two generators")
+    if ctx.order_of(0) is not None:
+        raise ValueError(f"the first generator has order {ctx.order_of(0)}, so g^-N..g^N repeat")
     g, h = ctx.generator(0), ctx.generator(1)
     members = [g ** k for k in range(-N, N + 1)]
     members.append(h)

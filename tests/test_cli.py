@@ -322,6 +322,12 @@ Z5Z7_SPACE = {"backend": "free_product", "orders": [5, 7]}
 PRACTICAL = {"name": "practical", "concentration_threshold": "1", "displacement_floor": "1"}
 LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_tree", "is_periodic",
                  "is_biperiodic", "pingpong_certify")
+SAFIN = {"kind": "safin", "n_big": 2}
+
+
+def graph_space(n, edges, generators=()):
+    return {"backend": "graph",
+            "graph": {"vertices": n, "edges": edges, "generators": list(generators)}}
 
 
 @pytest.mark.parametrize(
@@ -365,6 +371,23 @@ LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_tree", "is_periodic
         # kappa0 / 4 = 1/4
         ({"command": "reduce", "set": {"kind": "random", "count": 80, "max_length": 8},
           "seed": 11}, "reduce.r"),
+        # values a backend constructor rejects
+        ({"command": "growth", "space": dict(F2_SPACE, rho0="-1"), "set": {"elements": ["a"]}},
+         "space"),
+        ({"command": "energy", "space": graph_space(3, [[0, 1]]), "set": {"elements": ["a"]}},
+         "space"),
+        ({"command": "energy", "space": graph_space(3, [[0, 5]]), "set": {"elements": ["a"]}},
+         "space"),
+        ({"command": "energy", "space": graph_space(3, [[0, 1], [1, 2]], [[0, 0, 1]]),
+          "set": {"elements": ["a"]}}, "space"),
+        ({"command": "energy", "space": graph_space(3, [[0, 1], [1, 2]], [[1, 0, 2]]),
+          "set": {"elements": ["a"]}}, "space"),
+        # a Safin family needs two generators, the first of infinite order:
+        # on Z/5 * Z/7 every U_N has 6 elements, so an exponent fit is noise
+        ({"command": "growth", "space": dict(F2_SPACE, rank=1), "set": SAFIN}, "set.kind"),
+        ({"command": "growth", "space": Z5Z7_SPACE, "set": SAFIN}, "set.kind"),
+        ({"command": "growth", "space": {"backend": "free_product", "orders": [2, 3]},
+          "set": SAFIN}, "set.kind"),
     ],
     ids=["set_empty_growth", "set_empty_energy", "set_empty_reduce", "set_empty_period",
          "set_bad_character", "set_letter_outside_rank", "period_root_bad_letter",
@@ -372,7 +395,11 @@ LIBRARY_CALLS = ("growth_report", "minimize_energy", "reduce_tree", "is_periodic
          "pingpong_t_outside_rank", "period_root_elliptic", "pingpong_root_elliptic",
          "reduce_r_half_edge", "reduce_r_zero",
          "reduce_r_negative", "reduce_r_not_a_multiple_of_rho0", "reduce_r_paper_default_kappa0",
-         "reduce_r_paper_above_kappa0_quarter", "reduce_r_paper_default_rho0"],
+         "reduce_r_paper_above_kappa0_quarter", "reduce_r_paper_default_rho0",
+         "space_rho0_negative", "space_graph_disconnected", "space_edge_not_a_vertex",
+         "space_generator_not_a_permutation", "space_generator_not_an_automorphism",
+         "set_safin_rank_1", "set_safin_finite_first_factor_z5z7",
+         "set_safin_finite_first_factor_z2z3"],
 )
 def test_config_values_the_library_rejects_are_config_errors(tmp_path, monkeypatch, capsys,
                                                            cfg, key):
@@ -390,6 +417,28 @@ def test_config_values_the_library_rejects_are_config_errors(tmp_path, monkeypat
     assert main(["--config", str(p), "--out", str(out)]) == 4
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
     assert not out.exists()
+
+
+def test_an_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # a ValueError that no config value caused is a fault in the code: it
+    # leaves main as a traceback, not as exit 4
+    def broken(*args, **kw):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(psgrowth.cli, "growth_report", broken)
+    p = write_cfg(tmp_path, GROWTH_CFG)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["--config", str(p), "--out", str(tmp_path / "out")])
+
+
+def test_safin_set_with_an_infinite_first_factor_runs(tmp_path):
+    cfg = {"command": "growth", "space": {"backend": "free_product", "orders": [None, 7]},
+           "set": SAFIN, "mode": PRACTICAL}
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["growth"]["sizes"]["1"] == 6
+    assert rep["family_counts"]["2"] < rep["family_counts"]["4"] < rep["family_counts"]["8"]
 
 
 @pytest.mark.parametrize(

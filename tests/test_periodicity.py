@@ -198,6 +198,12 @@ def extraction_case(f2_tree, case):
         # aa acts trivially on the path, so its connector fixes every vertex
         space = path_with_reflection(6)
         return space, outer_equations(space, ["aa", ""], "a", "a"), 0, {}
+    if case == "ConnectorNotHyperbolic_on_C9":
+        # delta(C_9) = 3/2, and the rotation a moves 0 by 1: a bound with a
+        # delta term (the paper's 26 delta = 39) would refuse v as too short;
+        # the junctions are reduced, and the connector a has order 9
+        space = CYCLES[9]
+        return space, outer_equations(space, ["", "a"], "a", "aa"), 0, {}
     built = {
         "TooFewEquations": ([1], 200, 300),
         "SymmetryBoundViolated": ([1, 30], 3, 40),
@@ -237,6 +243,7 @@ EXTRACTION_EXITS = {
     "DuplicateOuterElements": "7766c79b4f218590",
     "PaperHypothesesUnmet": "c545799c8523fae4",
     "ConnectorNotHyperbolic": "5e2b265c4821e328",
+    "ConnectorNotHyperbolic_on_C9": "d846b9c1c21eccae",
     "PeriodicityThresholdFailed": "e72358787e8f514d",
     "certified": "2408c8885a627848",
 }
@@ -249,7 +256,7 @@ def test_every_extraction_exit(f2_tree, case):
     if case == "certified":
         assert isinstance(res, PeriodCertificate)
     else:
-        assert isinstance(res, Refusal) and res.reason == case
+        assert isinstance(res, Refusal) and res.reason == case.split("_")[0]
     assert digest(res.as_dict()) == EXTRACTION_EXITS[case]
 
 
@@ -439,6 +446,16 @@ def test_no_graph_element_is_hyperbolic(space, root_letters, t_letters, x0):
     ):
         with pytest.raises(ValueError, match="E_root must be hyperbolic"):
             refused()
+    # period extraction and bi-periodicity refuse every graph input: equal
+    # products u v w_u over the outer elements 1, root and t, and the sets
+    # {root, root^2} and {root, t}
+    g = t * root
+    eqs = [(u, root, root.inverse() * u.inverse() * g) for u in (ctx.identity(), root, t)]
+    for paper_mode in (False, True):
+        assert isinstance(extract_period_from_equations(space, eqs, x0, paper_mode=paper_mode),
+                          Refusal)
+    for members in ([root, root * root], [root, t]):
+        assert isinstance(is_biperiodic(space, ElementSet(ctx, members), x0), Refusal)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import random
 import tracemalloc
@@ -11,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psgrowth
+from psgrowth.growth import concentrated_pipeline
+from psgrowth.hypgeom import small_cancellation_diameter
 from psgrowth.spaces import (
     FiniteHypGraph,
     FreeGroupTree,
@@ -651,6 +654,23 @@ def test_geometry_toolbox_does_not_ask_for_a_tree():
         name: lines
         for name in ("hypgeom.py", "periodicity.py")
         if (lines := name_reads((package / name).read_text(), {"is_tree"}))
+    }
+    assert found == {}
+
+
+def test_tree_only_certificates_read_no_delta():
+    # a product-set certificate is only ever issued on a tree, where
+    # delta = 0: the period, ping-pong, concentrated-chain and overlap bounds
+    # are the paper's with every delta term deleted, and none may come back
+    package = Path(psgrowth.__file__).parent
+    found = {
+        name: lines
+        for name, source in (
+            ("periodicity.py", (package / "periodicity.py").read_text()),
+            ("concentrated_pipeline", inspect.getsource(concentrated_pipeline)),
+            ("small_cancellation_diameter", inspect.getsource(small_cancellation_diameter)),
+        )
+        if (lines := name_reads(source, {"delta"}))
     }
     assert found == {}
 

@@ -676,6 +676,16 @@ def test_safin_family_small():
     assert safin_counts(5) == {"powers_block": 11, "with_extra_generator": 12}
 
 
+def test_safin_family_needs_an_infinite_first_generator():
+    # g^-N..g^N repeat when g has finite order: on Z/5 * Z/7 every N gave 6
+    assert len(safin_family(free_product(None, 7), 2)) == 6
+    for orders in ((5, 7), (2, 3)):
+        with pytest.raises(ValueError, match="first generator has order"):
+            safin_family(free_product(*orders), 2)
+    with pytest.raises(ValueError, match="two generators"):
+        safin_family(free_group(1), 2)
+
+
 def test_safin_family_cube():
     # frozen from the independent letter-reduction oracle (triple brute force)
     assert len(product_set(safin_family(F2, 3), 3)) == 100
