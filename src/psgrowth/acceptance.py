@@ -37,6 +37,7 @@ from .words import (
     cyclic_reduce,
     parse,
     product_set,
+    product_sizes,
     random_reduced_word,
     safin_family,
 )
@@ -151,7 +152,7 @@ def criterion_1(budget: int = 10_000_000) -> CriterionResult:
             sampled = dict(counts)
             for N in range(1, target + 3):
                 if N not in sampled:
-                    sampled[N] = len(product_set(fam(N), n, budget))
+                    *_, sampled[N] = product_sizes([fam(N)] * n, budget)
             cert = _exponent_certificate(sampled, target)
             ok = ok and cert["certified_exponent"] == target
             rows[n] = {

@@ -36,7 +36,6 @@ from .words import (
     power_of,
     primitive_root,
     product,
-    product_set,
     product_sizes,
 )
 
@@ -218,11 +217,15 @@ def exponent_fit(
     the counts are returned alongside for reporting."""
     import numpy as np
 
+    if n < 1:
+        raise ValueError("n must be >= 1")
     counts = {}
     xs, ys = [], []
     for N in N_range:
         U = family(N)
-        counts[N] = len(product_set(U, n, budget))
+        if len(U) == 0:
+            raise ValueError("U must be nonempty")
+        *_, counts[N] = product_sizes([U] * n, budget)
         xs.append(math.log(len(U)))
         ys.append(math.log(counts[N]))
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) > 1 else 1.0

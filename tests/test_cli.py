@@ -690,6 +690,40 @@ def test_installed_entry_point(tmp_path):
     assert (out / "report.json").exists()
 
 
+def test_a_level_over_the_default_budget_exits_3_in_bounded_memory(tmp_path):
+    # 40 random F_2 words of up to 7 letters, n_max 5, no budget key: |U^5|
+    # passes the default budget of 10^7 elements, which the counts find out
+    # with no level stored, far inside 2 GB of address space
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+
+    cfg = {
+        "command": "growth",
+        "space": {"backend": "free_group", "rank": 2},
+        "set": {"kind": "random", "count": 40, "max_length": 7},
+        "mode": {"name": "paper"},
+        "n_max": 5,
+        "seed": 3,
+    }
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "psgrowth.cli", "--config", str(write_cfg(tmp_path, cfg)),
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=child_pythonpath()),
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    growth = json.loads((out / "report.json").read_text())["growth"]
+    assert sorted(growth["sizes"]) == ["1", "2", "3", "4"]
+    assert growth["truncated"] is True
+
+
 def test_cross_process_determinism(tmp_path):
     # separate interpreter runs get different hash seeds; reports must not
     # depend on set iteration order anywhere

@@ -676,17 +676,37 @@ def test_tree_only_certificates_read_no_delta():
 
 
 def test_syllable_tuples_stay_inside_words():
-    # product-set levels are syllable tuples only inside words.py: every
-    # other module asks `product` or `product_sizes` for a product of
-    # ElementSets and never names the level loop or the stored tuples
+    # product-set levels are syllable tuples or automata only inside
+    # words.py: every other module asks `product` or `product_sizes` for a
+    # product of ElementSets and never names the set loop, the count engine
+    # or the stored tuples
     package = Path(psgrowth.__file__).parent
-    private = {"product_level", "_join", "_members", "_from_syllables"}
+    private = {"_levels", "_Automaton", "_join", "_members", "_from_syllables"}
     found = {
         path.name: lines
         for path in sorted(package.glob("*.py"))
         if path.name != "words.py" and (lines := name_reads(path.read_text(), private))
     }
     assert found == {}
+
+
+def test_size_callers_count_without_storing_words():
+    # a caller that needs only |U^n| reads `product_sizes`, which stores no
+    # level; the set loop `_levels` has `product` as its one caller
+    package = Path(psgrowth.__file__).parent
+    sized = {
+        path.name: [i for i, line in enumerate(path.read_text().splitlines(), 1)
+                    if "len(product_set(" in line]
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: lines for name, lines in sized.items() if lines} == {}
+    callers = {
+        fn.name
+        for path in sorted(package.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef) and name_reads(ast.unparse(fn), {"_levels"})
+    }
+    assert callers == {"product"}
 
 
 def test_is_tree_is_a_class_capability():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import string
+import sys
 import tracemalloc
 
 import pytest
@@ -15,6 +16,7 @@ from psgrowth.words import (
     ElementSet,
     GroupElement,
     _join,
+    _levels,
     cyclic_reduce,
     free_group,
     free_product,
@@ -602,19 +604,19 @@ def test_budget_boundary_is_the_level_size():
 
 
 def test_a_level_stores_syllables_not_elements():
-    # one seeded F_2 level; an element per product would cost about 50
-    # bytes more for each one stored
+    # one seeded F_2 level of the set loop; an element per product would
+    # cost about 50 bytes more for each one stored
     rng = random.Random(3)
     U = ElementSet(F2, [random_reduced_word(rng, F2, rng.randint(4, 8)) for _ in range(50)])
-    sizes = product_sizes([U] * 3, 10**7)
-    next(sizes), next(sizes)
+    levels = _levels([U] * 3, 10**7)
+    next(levels), next(levels)
     tracemalloc.start()
     try:
-        size3 = next(sizes)
+        level3 = next(levels)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held / size3 < 200
+    assert held / len(level3) < 200
 
 
 def test_a_product_set_stores_syllables_not_elements():
@@ -638,15 +640,117 @@ def test_a_product_set_peaks_at_its_last_level():
     rng = random.Random(3)
     U = ElementSet(F2, [random_reduced_word(rng, F2, rng.randint(4, 8)) for _ in range(60)])
     peaks = []
-    for make in (lambda: list(product_sizes([U] * 3, 10**7)), lambda: product_set(U, 3)):
-        tracemalloc.start()
-        try:
-            made = make()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        del made
+    for make in (lambda: [len(lv) for lv in _levels([U] * 3, 10**7)], lambda: product_set(U, 3)):
+        peaks.append(traced_peak(make))
     assert peaks[1] <= 1.05 * peaks[0]
+
+
+def traced_peak(make) -> int:
+    tracemalloc.start()
+    try:
+        made = make()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        del made
+
+
+def test_counting_a_level_peaks_below_a_quarter_of_its_set():
+    # the same 60 seeded F_2 words, n = 3: the count path holds automata,
+    # not the 214,903 elements of the last level
+    rng = random.Random(3)
+    U = ElementSet(F2, [random_reduced_word(rng, F2, rng.randint(4, 8)) for _ in range(60)])
+    assert list(product_sizes([U] * 3, 10**7))[-1] == 214_903
+    counted = traced_peak(lambda: list(product_sizes([U] * 3, 10**7)))
+    stored = traced_peak(lambda: product_set(U, 3))
+    assert counted < stored / 4
+
+
+# every context the count oracle runs in: F_1..F_3 and free products with
+# finite factors only, with an infinite factor, and with both; a config may
+# ask for any order, so one is far larger than any table of syllables
+COUNT_CONTEXTS = {
+    "Z/1000003*Z/3": free_product(1_000_003, 3),
+    "F1": free_group(1),
+    "F2": F2,
+    "F3": free_group(3),
+    "Z/5*Z/7": Z5Z7,
+    "Z/2*Z/3": Z2Z3,
+    "Z/2*Z/2": free_product(2, 2),
+    "Z*Z/5": free_product(None, 5),
+    "Z/2*Z*Z/3": free_product(2, None, 3),
+}
+
+
+@st.composite
+def count_inputs(draw):
+    """A sequence of one to four sets over one context, repeated or
+    different: short words, the identity, inverse pairs and power families
+    w^-N..w^N, whose products cancel and merge through several syllables."""
+    ctx = COUNT_CONTEXTS[draw(st.sampled_from(sorted(COUNT_CONTEXTS)))]
+    k = ctx.num_generators
+    alphabet = string.ascii_lowercase[:k] + string.ascii_uppercase[:k]
+    word = st.text(alphabet=alphabet, max_size=6)
+
+    def element_set():
+        out = [parse(ctx, t) for t in draw(st.lists(word, min_size=1, max_size=4))]
+        if draw(st.booleans()):
+            out.append(ctx.identity())
+        if draw(st.booleans()):
+            out.append(draw(st.sampled_from(out)).inverse())
+        if draw(st.booleans()):
+            w = parse(ctx, draw(word))
+            n_big = draw(st.integers(1, 4))
+            out.extend(w**i for i in range(-n_big, n_big + 1))
+        return ElementSet(ctx, out)
+
+    if draw(st.booleans()):
+        return [element_set()] * draw(st.integers(1, 4))
+    return [element_set() for _ in range(draw(st.integers(2, 4)))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(count_inputs())
+@example([ElementSet(F2, [])] * 2)
+@example([ElementSet.from_strings(Z5Z7, ["a", "ab"]), ElementSet(Z5Z7, []), ElementSet.from_strings(Z5Z7, ["b"])])
+def test_counted_levels_match_the_set_levels(sets):
+    want = [len(level) for level in _levels(sets, 10**9)]
+    assert list(product_sizes(sets, 10**9)) == want
+    # the budget holds each level after the first to the same count
+    assert list(product_sizes(sets, max(want[1:], default=0))) == want
+    if len(sets) > 1 and want[-1] > 0 and max(want[1:]) > 0:
+        stop = max(want[1:]) - 1
+        over = next(k for k in range(1, len(want)) if want[k] > stop)
+        sizes = product_sizes(sets, stop)
+        assert [next(sizes) for _ in range(over)] == want[:over]
+        with pytest.raises(BudgetExceededError):
+            next(sizes)
+
+
+def test_powers_of_one_generator_count_in_linear_memory():
+    # g^k is one digit, so the Safin family {g^-N..g^N, h} makes one
+    # emission node per element, and a node's merges are read off the old
+    # level when it is expanded; a digit per letter would hold N^2 of them
+    U = safin_family(F2, 150)
+    assert list(product_sizes([U] * 2, 10**7)) == [302, 1203]
+    assert traced_peak(lambda: list(product_sizes([U] * 2, 10**7))) < 2_000_000
+
+
+def test_counted_levels_refuse_sets_over_two_contexts():
+    sizes = product_sizes([ElementSet.from_strings(F2, ["a"]), ElementSet.from_strings(Z5Z7, ["a"])], 10)
+    assert next(sizes) == 1
+    with pytest.raises(ValueError, match="context mismatch"):
+        next(sizes)
+
+
+def test_a_long_word_is_counted_without_recursion():
+    # one 5,000-letter word: U^3 is its cube, three copies of its syllables
+    limit = sys.getrecursionlimit()
+    w = random_reduced_word(random.Random(11), F2, 5_000)
+    assert list(product_sizes([ElementSet(F2, [w])] * 3, 10)) == [1, 1, 1]
+    U = ElementSet(F2, [w, w.inverse(), F2.identity()])
+    assert list(product_sizes([U] * 3, 100)) == [3, 5, 7]
+    assert sys.getrecursionlimit() == limit
 
 
 def test_product_set_submultiplicative():
