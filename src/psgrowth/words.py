@@ -6,12 +6,12 @@ Elements are stored in canonical normal form as run-length syllable tuples,
 so structural equality coincides with equality in the group.  A product
 cancels and merges only where its two normal forms meet and splices the
 rest, sharing the factors' syllable tuples.  Product sets U_1 U_2 ... U_m
-of ElementSets have two engines.  `product` makes the set level by level,
-each level a set of syllable tuples.  `product_sizes` counts the levels
-without storing a word: each level is a minimal acyclic automaton over the
-reversed normal forms, whose states are shared by all levels and count
-their words as they are made, so a level costs memory for its automaton,
-not for its elements.  No other module sees either representation.
+of ElementSets have one engine: each level is a minimal acyclic automaton
+over the reversed normal forms, whose states are shared by all levels and
+count their words as they are made, so a level costs memory for its
+automaton, not for its elements.  `product_sizes` reads the counts and
+stores no word; `product` stores the words of the last level alone.  No
+other module sees the automaton or the syllable tuples.
 Serialization uses compact letter strings: generators are ``a..z``,
 inverses ``A..Z`` ("abA" = a * b * a^-1).
 """
@@ -22,7 +22,7 @@ import math
 import random
 import string
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 FREE = "free"
 FREE_PRODUCT = "free_product"
@@ -419,11 +419,10 @@ class ElementSet:
 
     @classmethod
     def _from_syllables(
-        cls, context: PresentationContext, syllables: Collection[tuple]
+        cls, context: PresentationContext, syllables: frozenset
     ) -> "ElementSet":
         """The set of the normal forms `syllables`, trusted to be in normal
-        form over `context`.  The set (or frozenset) is kept, not copied,
-        so no caller may change it later."""
+        form over `context`."""
         self = object.__new__(cls)
         self.context = context
         self._members = syllables
@@ -457,10 +456,6 @@ class ElementSet:
         )
 
     def __hash__(self) -> int:
-        # every set holds syllable tuples; one kept by `_from_syllables`
-        # is frozen the first time it is hashed
-        if not isinstance(self._members, frozenset):
-            self._members = frozenset(self._members)
         return hash((self.context, self._members))
 
     def __repr__(self) -> str:
@@ -472,61 +467,6 @@ class ElementSet:
     @classmethod
     def from_strings(cls, ctx: PresentationContext, texts: Iterable[str]) -> "ElementSet":
         return cls(ctx, (parse(ctx, t) for t in texts))
-
-
-def _levels(sets: Sequence[ElementSet], budget: int) -> Iterator[Collection[tuple]]:
-    """The levels U_1, U_1 U_2, ..., U_1 ... U_m of `sets`, as sets of
-    normal-form syllable tuples, each made only when asked for.
-
-    This is the loop behind `product`, the one caller that needs the
-    elements; `product_sizes` counts on automata instead.  The first level is U_1
-    itself, never held to `budget`; each later level joins every a in the
-    last one to every b in the next set.  A b whose first generator differs
-    from a's last one is spliced on as a + b.  The rest meet a's last
-    syllable s: each is joined to s alone once per level, by `_join`.  A
-    merge still begins with s's generator and is spliced onto a[:-1]; a b
-    that cancels s leaves a rest, which meets a[:-1] in `_join`.  Raises
-    BudgetExceededError once a level has more than `budget` elements.
-    """
-    first, *later = sets
-    orders = first.context.orders
-    current = first._members
-    yield current
-    for U in later:
-        if U.context != first.context:
-            raise ValueError("element set context mismatch")
-        factors = U._members
-        # per last generator of a: the factors spliced on, and those that meet it
-        gens = {b[0][0] for b in factors if b}
-        splice = {g: [b for b in factors if not b or b[0][0] != g] for g in gens}
-        meet = {g: [b for b in factors if b and b[0][0] == g] for g in gens}
-        # per last syllable of a: the merged tails and the rests of the
-        # factors that meet it
-        junction: dict[tuple, tuple[list, list]] = {}
-        out: set[tuple] = set()
-        for a in current:
-            g = a[-1][0] if a else None
-            if g in meet:
-                last = a[-1]
-                table = junction.get(last)
-                if table is None:
-                    joined = [_join(orders, (last,), b) for b in meet[g]]
-                    table = junction[last] = (
-                        [t for t in joined if t and t[0][0] == g],
-                        [t for t in joined if not t or t[0][0] != g],
-                    )
-                merged, rests = table
-                head = a[:-1]
-                out.update(map(a.__add__, splice[g]))
-                out.update(map(head.__add__, merged))
-                for rest in rests:
-                    out.add(_join(orders, head, rest))
-            else:
-                out.update(map(a.__add__, factors))
-            if len(out) > budget:
-                raise BudgetExceededError(f"product set exceeded budget of {budget} elements")
-        current = out
-        yield current
 
 
 class _Automaton:
@@ -672,6 +612,24 @@ class _Automaton:
         if budget is not None and self.count[stop] > budget:
             raise BudgetExceededError(f"product set exceeded budget of {budget} elements")
         return self._state(False, [self._edge(label, stop)]) if label else stop
+
+    def language(self, root: int) -> Iterator[tuple]:
+        """The words accepted at `root`, as normal-form syllable tuples: a
+        depth-first walk that decodes each edge once into its syllables, in
+        normal-form order, and puts them before the tail read after them."""
+        k = len(self.orders)
+        label, child, out, accept = self.label, self.child, self.out, self.accept
+        decoded: dict[int, tuple] = {}
+        stack = [(root, ())]
+        while stack:
+            state, tail = stack.pop()
+            if accept[state]:
+                yield tail
+            for edge in out[state].values():
+                head = decoded.get(edge)
+                if head is None:
+                    head = decoded[edge] = tuple((d % k, d // k) for d in reversed(label[edge]))
+                stack.append((child[edge], head + tail))
 
     def _determinize(self, first: frozenset, emit: list, budget: Optional[int]) -> tuple:
         """The language of the subset `first` as (label, state): the words
@@ -838,29 +796,40 @@ class _Automaton:
         return result
 
 
+def _roots(dfa: _Automaton, sets: Sequence[ElementSet], budget: int) -> Iterator[int]:
+    """The roots in `dfa` of the levels U_1, U_1 U_2, ..., U_1 ... U_m of
+    element sets over one context, each made only when asked for.  The
+    first level is U_1 itself, never held to `budget`; a later level raises
+    BudgetExceededError once it has more than `budget` elements."""
+    first, *later = sets
+    root = dfa.times(dfa.leaf, first, None)
+    yield root
+    for U in later:
+        if U.context != first.context:
+            raise ValueError("element set context mismatch")
+        root = dfa.times(root, U, budget)
+        yield root
+
+
 def product_sizes(sets: Sequence[ElementSet], budget: int) -> Iterator[int]:
     """|U_1|, |U_1 U_2|, ..., |U_1 ... U_m| for element sets over one
     context, counted on each level's automaton; a caller that stops early
     never makes the next level.  Raises BudgetExceededError once a level
     after the first has more than `budget` elements."""
-    first, *later = sets
-    yield len(first)
-    dfa = _Automaton(first.context)
-    root = dfa.times(dfa.leaf, first, None)
-    for U in later:
-        if U.context != first.context:
-            raise ValueError("element set context mismatch")
-        root = dfa.times(root, U, budget)
+    dfa = _Automaton(sets[0].context)
+    for root in _roots(dfa, sets, budget):
         yield dfa.count[root]
 
 
 def product(sets: Sequence[ElementSet], budget: int) -> ElementSet:
     """The product set U_1 U_2 ... U_m of element sets over one context, or
     BudgetExceededError once a level after the first has more than `budget`
-    elements.  It holds syllables; its elements are built only if iterated."""
-    for level in _levels(sets, budget):
-        pass
-    return ElementSet._from_syllables(sets[0].context, level)
+    elements, before any word of it is stored.  It holds the syllables of
+    the last level's words; its elements are built only if iterated."""
+    context = sets[0].context
+    dfa = _Automaton(context)
+    *_, root = _roots(dfa, sets, budget)
+    return ElementSet._from_syllables(context, frozenset(dfa.language(root)))
 
 
 def product_set(U: ElementSet, n: int, budget: int = 10_000_000) -> ElementSet:

@@ -676,23 +676,25 @@ def test_tree_only_certificates_read_no_delta():
 
 
 def test_syllable_tuples_stay_inside_words():
-    # product-set levels are syllable tuples or automata only inside
+    # product-set levels are automata and syllable tuples only inside
     # words.py: every other module asks `product` or `product_sizes` for a
-    # product of ElementSets and never names the set loop, the count engine
-    # or the stored tuples
+    # product of ElementSets and never names the level driver, the engine
+    # or the stored tuples; `words` itself has no set loop beside the engine
     package = Path(psgrowth.__file__).parent
-    private = {"_levels", "_Automaton", "_join", "_members", "_from_syllables"}
+    private = {"_roots", "_Automaton", "_join", "_members", "_from_syllables"}
     found = {
         path.name: lines
         for path in sorted(package.glob("*.py"))
         if path.name != "words.py" and (lines := name_reads(path.read_text(), private))
     }
     assert found == {}
+    assert not hasattr(psgrowth.words, "_levels")
 
 
 def test_size_callers_count_without_storing_words():
     # a caller that needs only |U^n| reads `product_sizes`, which stores no
-    # level; the set loop `_levels` has `product` as its one caller
+    # level; the level driver `_roots` has `product` and `product_sizes` as
+    # its only callers
     package = Path(psgrowth.__file__).parent
     sized = {
         path.name: [i for i, line in enumerate(path.read_text().splitlines(), 1)
@@ -704,9 +706,9 @@ def test_size_callers_count_without_storing_words():
         fn.name
         for path in sorted(package.glob("*.py"))
         for fn in ast.walk(ast.parse(path.read_text()))
-        if isinstance(fn, ast.FunctionDef) and name_reads(ast.unparse(fn), {"_levels"})
+        if isinstance(fn, ast.FunctionDef) and name_reads(ast.unparse(fn), {"_roots"})
     }
-    assert callers == {"product"}
+    assert callers == {"product", "product_sizes"}
 
 
 def test_is_tree_is_a_class_capability():

@@ -16,7 +16,6 @@ from psgrowth.words import (
     ElementSet,
     GroupElement,
     _join,
-    _levels,
     cyclic_reduce,
     free_group,
     free_product,
@@ -603,25 +602,10 @@ def test_budget_boundary_is_the_level_size():
     assert short.truncated and sorted(short.sizes) == [1, 2]
 
 
-def test_a_level_stores_syllables_not_elements():
-    # one seeded F_2 level of the set loop; an element per product would
-    # cost about 50 bytes more for each one stored
-    rng = random.Random(3)
-    U = ElementSet(F2, [random_reduced_word(rng, F2, rng.randint(4, 8)) for _ in range(50)])
-    levels = _levels([U] * 3, 10**7)
-    next(levels), next(levels)
-    tracemalloc.start()
-    try:
-        level3 = next(levels)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held / len(level3) < 200
-
-
 def test_a_product_set_stores_syllables_not_elements():
-    # the same seeded F_2 set; the returned set holds one tuple per element
-    # and no element objects until it is iterated
+    # one seeded F_2 level: the returned set holds one tuple per element and
+    # no element objects until it is iterated; an element per product would
+    # cost about 50 bytes more for each one stored
     rng = random.Random(3)
     U = ElementSet(F2, [random_reduced_word(rng, F2, rng.randint(4, 8)) for _ in range(50)])
     tracemalloc.start()
@@ -634,15 +618,33 @@ def test_a_product_set_stores_syllables_not_elements():
 
 
 def test_a_product_set_peaks_at_its_last_level():
-    # 60 seeded F_2 words, n = 3 (214,903 elements): the returned set keeps
-    # the last level's table, so making it peaks no higher than counting
-    # the same levels; a copy of the table would peak about 1.25 times as high
+    # 60 seeded F_2 words, n = 3 (214,903 elements): the last level's words
+    # are stored once, as the set returned, so making it peaks little above
+    # what that set holds; a copy of the set would peak about 1.25 times as
+    # high
     rng = random.Random(3)
     U = ElementSet(F2, [random_reduced_word(rng, F2, rng.randint(4, 8)) for _ in range(60)])
-    peaks = []
-    for make in (lambda: [len(lv) for lv in _levels([U] * 3, 10**7)], lambda: product_set(U, 3)):
-        peaks.append(traced_peak(make))
-    assert peaks[1] <= 1.05 * peaks[0]
+    tracemalloc.start()
+    try:
+        level3 = product_set(U, 3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(level3) == 214_903
+    assert peak <= 1.15 * held
+
+
+def test_an_over_budget_product_set_stops_at_the_count():
+    # the same 60 seeded F_2 words, n = 3: level 3 counts 214,903 elements,
+    # past the budget, so it is refused before any of its words is stored
+    rng = random.Random(3)
+    U = ElementSet(F2, [random_reduced_word(rng, F2, rng.randint(4, 8)) for _ in range(60)])
+
+    def over_budget():
+        with pytest.raises(BudgetExceededError):
+            product_set(U, 3, budget=200_000)
+
+    assert traced_peak(over_budget) < 8_000_000
 
 
 def traced_peak(make) -> int:
@@ -709,13 +711,26 @@ def count_inputs(draw):
     return [element_set() for _ in range(draw(st.integers(2, 4)))]
 
 
+def join_levels(sets):
+    """U_1, U_1 U_2, ..., U_1 ... U_m as sets of syllable tuples, each level
+    the pairwise joins of the last one with the next set."""
+    orders = sets[0].context.orders
+    level = sets[0]._members
+    levels = [level]
+    for U in sets[1:]:
+        level = {_join(orders, a, b) for a in level for b in U._members}
+        levels.append(level)
+    return levels
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(count_inputs())
 @example([ElementSet(F2, [])] * 2)
 @example([ElementSet.from_strings(Z5Z7, ["a", "ab"]), ElementSet(Z5Z7, []), ElementSet.from_strings(Z5Z7, ["b"])])
 def test_counted_levels_match_the_set_levels(sets):
-    want = [len(level) for level in _levels(sets, 10**9)]
+    want = [len(level) for level in join_levels(sets)]
     assert list(product_sizes(sets, 10**9)) == want
+    assert len(product(sets, 10**9)) == want[-1]
     # the budget holds each level after the first to the same count
     assert list(product_sizes(sets, max(want[1:], default=0))) == want
     if len(sets) > 1 and want[-1] > 0 and max(want[1:]) > 0:
@@ -730,10 +745,13 @@ def test_counted_levels_match_the_set_levels(sets):
 def test_powers_of_one_generator_count_in_linear_memory():
     # g^k is one digit, so the Safin family {g^-N..g^N, h} makes one
     # emission node per element, and a node's merges are read off the old
-    # level when it is expanded; a digit per letter would hold N^2 of them
+    # level when it is expanded; a digit per letter would hold N^2 of them.
+    # Storing the level adds only its 1,203 words
     U = safin_family(F2, 150)
     assert list(product_sizes([U] * 2, 10**7)) == [302, 1203]
     assert traced_peak(lambda: list(product_sizes([U] * 2, 10**7))) < 2_000_000
+    assert len(product_set(U, 2)) == 1203
+    assert traced_peak(lambda: product_set(U, 2)) < 2_000_000
 
 
 def test_counted_levels_refuse_sets_over_two_contexts():
