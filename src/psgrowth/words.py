@@ -476,30 +476,24 @@ class _Automaton:
     digit at a time: a digit is one whole syllable (g, e), of a finite or an
     infinite factor alike, so normal forms and digit strings are in
     bijection and cancellation at a product's junction is a prefix question.
-    Edges carry digit strings: every live state but a level's root accepts
-    or has two or more edges, and a path with no branch is one edge, so a
-    long word costs one tuple, not a state per digit.  Edges and states are
-    hash-consed in tables all levels share, so a language is one state
+    A state maps each digit it reads to the state after it.  States are
+    hash-consed in one table all levels share, so a language is one state
     (bottom-up minimisation of acyclic automata), and each state's word
     count is summed as it is made.
 
-    The items of a subset construction are a state (an int >= 0), a
-    position (edge, offset) inside an edge, or an emission node (an int
-    < 0) of the level being made.
+    The items of a subset construction are a state (an int >= 0) or an
+    emission node (an int < 0) of the level being made.
     """
 
     def __init__(self, context: PresentationContext):
         self.orders = context.orders or (None,) * context.rank
-        self.label: list[tuple] = []
-        self.child: list[int] = []
-        self.edge_ids: dict[tuple, int] = {}
-        self.out: list[dict] = []  # state -> {first digit: edge}
+        self.out: list[dict] = []  # state -> {digit: state after it}
         self.accept: list[bool] = []
         self.count: list[int] = []
         self.state_ids: dict[tuple, int] = {}
         self.words: dict[int, list] = {}  # id of a set multiplied -> its digit strings
-        self.dead = self._state(False, ())
-        self.leaf = self._state(True, ())  # the language of the empty word
+        self.dead = self._state(False, {})
+        self.leaf = self._state(True, {})  # the language of the empty word
 
     # The digit of the syllable (g, e) is e * k + g for k factors: no table
     # grows with an order or an exponent.
@@ -514,179 +508,120 @@ class _Automaton:
         n = self.orders[g]
         return (-e if n is None else n - e) * k + g
 
-    def _edge(self, label: tuple, child: int) -> int:
-        key = (label, child)
-        edge = self.edge_ids.get(key)
-        if edge is None:
-            edge = self.edge_ids[key] = len(self.label)
-            self.label.append(label)
-            self.child.append(child)
-        return edge
-
-    def _state(self, accept: bool, edges: Sequence[int]) -> int:
-        """The state with these edges, given in the order of their first
-        digits."""
-        key = (accept, *edges)
+    def _state(self, accept: bool, out: dict) -> int:
+        """The state that reads the digits of `out`, given in increasing
+        order, into their states."""
+        key = (accept, *out.items())
         state = self.state_ids.get(key)
         if state is None:
             state = self.state_ids[key] = len(self.count)
-            label, count, child = self.label, self.count, self.child
-            self.out.append({label[e][0]: e for e in edges})
+            self.out.append(out)
             self.accept.append(accept)
-            count.append(accept + sum(count[child[e]] for e in edges))
+            count = self.count
+            count.append(accept + sum(count[s] for s in out.values()))
         return state
 
-    def _step(self, item, digit: int):
-        """The item after reading `digit` from `item`, or None."""
-        if item.__class__ is tuple:
-            edge, off = item
-        else:
-            edge, off = self.out[item].get(digit), 0
-            if edge is None:
-                return None
-        label = self.label[edge]
-        if label[off] != digit:
-            return None
-        return (edge, off + 1) if off + 1 < len(label) else self.child[edge]
-
-    def _restrict(self, item, junction: int):
-        """`item` without the words whose first digit lies in the factor of
+    def _restrict(self, state: int, junction: int) -> Optional[int]:
+        """`state` without the words whose first digit lies in the factor of
         the digit `junction` read before it, which would cancel or merge
         with it, or None if no word is left."""
         k = len(self.orders)
         g = junction % k
-        if item.__class__ is tuple:
-            edge, off = item
-            return None if self.label[edge][off] % k == g else item
-        out = self.out[item]
-        kept = [e for d, e in out.items() if d % k != g]
+        out = self.out[state]
+        kept = {d: s for d, s in out.items() if d % k != g}
         if len(kept) == len(out):
-            return item
-        if not self.accept[item] and len(kept) <= 1:
-            return (kept[0], 0) if kept else None
-        return self._state(self.accept[item], kept)
+            return state
+        if not kept and not self.accept[state]:
+            return None
+        return self._state(self.accept[state], kept)
 
     def times(self, root: int, U: ElementSet, budget: Optional[int]) -> int:
         """The root of the level (language of `root`) * U, or
         BudgetExceededError once a state it makes accepts more than
         `budget` words (no budget if None)."""
-        emit: list[tuple] = []  # emission node ~i: (digit, items after it, q[j])
+        out, inverse = self.out, self._inverse
+        emit: list[tuple] = []  # emission node ~i: (digit, items after it, q[j] or None)
         start: list = []
         words = self.words.get(id(U))
         if words is None:
             words = self.words[id(U)] = [self.digits(s) for s in U._members]
         for u in words:
             m = len(u)
-            # q[j]: the old item after reading u_1^-1 ... u_j^-1, the last
+            # q[j]: the old state after reading u_1^-1 ... u_j^-1, the last
             # j digits of an old word that u's first j digits cancel
             q = [root]
             while len(q) <= m:
-                nxt = self._step(q[-1], self._inverse(u[len(q) - 1]))
+                nxt = out[q[-1]].get(inverse(u[len(q) - 1]))
                 if nxt is None:
                     break
                 q.append(nxt)
             # u's words read u_m ... u_{j+1}, then go on in q[j] with no
             # first digit of u_{j+1}'s factor; merging u_{j+1} into such an
-            # old digit d reads the merged digit, then goes on after d.  Node
-            # p reads u_{j+1} for j = m - 1 - p and keeps q[j] for the
-            # merges; before the first p with j < len(q) there is only u to
-            # read: one edge.
-            first, skip = len(emit), max(m - len(q), 0)
-            for p in range(skip, m):
-                j = m - 1 - p
-                items = [~(first + p - skip + 1)] if p + 1 < m else []
-                rest = self._restrict(q[j], u[j])
-                if rest is not None:
-                    items.append(rest)
-                emit.append((u[j], items, q[j]))
-            if skip:
-                # an edge of this level alone, into its first node: not shared
-                start.append((len(self.label), 0))
-                self.label.append(u[: m - skip - 1 : -1])
-                self.child.append(~first)
-            elif m:
-                start.append(~first)
+            # old digit d reads the merged digit, then goes on after d.  Each
+            # syllable has a node that reads it; with no q[j] it has no old
+            # state, since no old word ends in u_1^-1 ... u_j^-1.
+            if m:
+                start.append(~len(emit))
+            for j in reversed(range(m)):
+                items = [~(len(emit) + 1)] if j else []
+                old = q[j] if j < len(q) else None
+                if old is not None:
+                    rest = self._restrict(old, u[j])
+                    if rest is not None:
+                        items.append(rest)
+                emit.append((u[j], items, old))
             if len(q) > m:
                 start.append(q[m])
-        label, stop = self._determinize(frozenset(start), emit, budget)
+        stop = self._determinize(frozenset(start), emit, budget)
         if budget is not None and self.count[stop] > budget:
             raise BudgetExceededError(f"product set exceeded budget of {budget} elements")
-        return self._state(False, [self._edge(label, stop)]) if label else stop
+        return stop
 
     def language(self, root: int) -> Iterator[tuple]:
         """The words accepted at `root`, as normal-form syllable tuples: a
-        depth-first walk that decodes each edge once into its syllables, in
-        normal-form order, and puts them before the tail read after them."""
+        depth-first walk that decodes each digit once into its syllable and
+        puts it before the tail read after it."""
         k = len(self.orders)
-        label, child, out, accept = self.label, self.child, self.out, self.accept
-        decoded: dict[int, tuple] = {}
+        out, accept = self.out, self.accept
+        syllable: dict[int, tuple] = {}
         stack = [(root, ())]
         while stack:
             state, tail = stack.pop()
             if accept[state]:
                 yield tail
-            for edge in out[state].values():
-                head = decoded.get(edge)
+            for d, nxt in out[state].items():
+                head = syllable.get(d)
                 if head is None:
-                    head = decoded[edge] = tuple((d % k, d // k) for d in reversed(label[edge]))
-                stack.append((child[edge], head + tail))
+                    head = syllable[d] = ((d % k, d // k),)
+                stack.append((nxt, head + tail))
 
-    def _determinize(self, first: frozenset, emit: list, budget: Optional[int]) -> tuple:
-        """The language of the subset `first` as (label, state): the words
-        label + w for w accepted at `state`.  An iterative depth-first
-        subset construction makes each state after its children; a subset
-        with one move and no accepting item extends its parent's edge, and
-        positions that read the same digits move along them together."""
-        label, child, out, accept, count = self.label, self.child, self.out, self.accept, self.count
+    def _determinize(self, first: frozenset, emit: list, budget: Optional[int]) -> int:
+        """The state of the subset `first`.  An iterative depth-first subset
+        construction makes each state after its children; a run of subsets
+        with one move and no accepting item is walked in a loop, and once
+        its end is known it becomes one state per digit."""
+        out, accept, count = self.out, self.accept, self.count
         orders, k = self.orders, len(self.orders)
-        dead = ((), self.dead)
-        made: dict[frozenset, tuple] = {}
-        # the subsets recorded are the first, children of frames and single
-        # emission nodes.  A level of N words has at most 2N - 1 children of
-        # frames that accept or branch; each emission node lies on one path,
-        # so at most one subset per node is dead, a frame that branches only
-        # on dead items, or the one live child of such a frame.  Past
-        # 2 budget + 3 nodes + 1 subsets the level is over budget, even
-        # before its count is known.
+        made: dict[frozenset, int] = {}
+        # the subsets recorded are the first and the children of frames,
+        # each the start of a run; the subsets inside a run are walked, not
+        # recorded.  A level of N words has at most 2N - 1 prefixes that
+        # accept or branch, and the run of a live recorded subset ends at
+        # one that no other reaches, unless it is the one live child of a
+        # frame that branches only on dead items.  Each emission node lies
+        # on one path, so at most one subset per node is dead, such a frame
+        # or such a child.  Past 2 budget + 3 nodes + 1 subsets the level is
+        # over budget, even before its count is known.
         cap = math.inf if budget is None else 2 * budget + 3 * len(emit) + 1
         budget = math.inf if budget is None else budget
 
-        def single(x):
-            """The language of {x}, or the subset to make first."""
-            if x.__class__ is tuple:
-                edge, off = x
-                head, stop = label[edge][off:] if off else label[edge], child[edge]
-                if stop >= 0:
-                    return (head, stop)
-                # the edge into a level's first emission node
-                key = frozenset((stop,))
-                tail = made.get(key)
-                if tail is None:
-                    return key
-                return (head + tail[0], tail[1]) if count[tail[1]] else dead
-            if x >= 0:
-                if accept[x] or len(out[x]) != 1:
-                    return ((), x)
-                edge, = out[x].values()
-                return (label[edge], child[edge])
-            key = frozenset((x,))
-            return made.get(key, key)
-
         def known(subset):
-            """The language of `subset`, or the subset to make first."""
+            """The state of `subset`, or the subset to make first."""
             if len(subset) == 1:
                 for x in subset:
-                    return single(x)
+                    if x >= 0:
+                        return x
             return made.get(subset, subset)
-
-        def after(x):
-            """(digit, item after it) for each digit the old item x reads."""
-            if x.__class__ is tuple:
-                edge, off = x
-                word = label[edge]
-                return ((word[off], (edge, off + 1) if off + 1 < len(word) else child[edge]),)
-            return [(d, (edge, 1) if len(label[edge]) > 1 else child[edge])
-                    for d, edge in out[x].items()]
 
         def expand(subset):
             """Whether `subset` accepts, its digits in order and the subset
@@ -694,22 +629,24 @@ class _Automaton:
             moves: dict[int, set] = {}
             final = False
             for x in subset:
-                if x.__class__ is int and x < 0:
+                if x < 0:
                     digit, items, old = emit[~x]
                     if items:
                         moves.setdefault(digit, set()).update(items)
+                    if old is None:
+                        continue
                     # the emitted syllable merges into an old one of its factor
                     g, f = digit % k, digit // k
                     n = orders[g]
-                    for d, y in after(old):
+                    for d, y in out[old].items():
                         if d % k == g:
                             e = d // k + f if n is None else (d // k + f) % n
                             if e:
                                 moves.setdefault(e * k + g, set()).add(y)
                     continue
-                if x.__class__ is int and accept[x]:
+                if accept[x]:
                     final = True
-                for d, y in after(x):
+                for d, y in out[x].items():
                     if d in moves:
                         moves[d].add(y)
                     else:
@@ -717,46 +654,22 @@ class _Automaton:
             digits = sorted(moves)
             return final, digits, [frozenset(moves[d]) for d in digits]
 
-        def jump(subset):
-            """The digits every item of a subset of positions reads next, up
-            to the first that differ or ends an edge, and the subset after
-            them."""
-            reach = min(len(label[e]) - off for e, off in subset)
-            words = [label[e][off : off + reach] for e, off in subset]
-            low, high = min(words), max(words)
-            if low != high:
-                # the longest common prefix of the least and greatest
-                lo, hi = 0, reach - 1
-                while lo < hi:
-                    mid = (lo + hi + 1) // 2
-                    if low[:mid] == high[:mid]:
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                reach = lo
-            after = frozenset(
-                (e, off + reach) if off + reach < len(label[e]) else child[e] for e, off in subset
-            )
-            return low[:reach], after
+        def chain(run, state):
+            """The state that reads the digits of `run`, then goes on in
+            `state`."""
+            if not count[state]:
+                return self.dead
+            for d in reversed(run):
+                state = self._state(False, {d: state})
+            return state
 
         stack: list[list] = []
 
         def open_frame(subset):
-            """Push the frame of `subset`, or record its language when it is
-            one edge into a subset already made."""
+            """Push the frame that ends the run from `subset`, or record the
+            state of `subset` when the run reaches a state already made."""
             origin, run = subset, []
             while True:
-                if subset and all(x.__class__ is tuple for x in subset):
-                    digits, moved = jump(subset)
-                    if digits:
-                        run += digits
-                        subset = moved
-                        tail = known(subset)
-                        if tail.__class__ is tuple:
-                            break
-                        if tail != subset:
-                            origin, subset, run = tail, tail, []
-                        continue
                 final, digits, targets = expand(subset)
                 if final or len(digits) != 1:
                     stack.append([origin, run, final, digits, targets, []])
@@ -764,12 +677,9 @@ class _Automaton:
                 run.append(digits[0])
                 subset = targets[0]
                 tail = known(subset)
-                if tail.__class__ is tuple:
-                    break
-                if tail != subset:
-                    # the subset is one edge into a subset not made yet
-                    origin, subset, run = tail, tail, []
-            made[origin] = (tuple(run) + tail[0], tail[1]) if count[tail[1]] else dead
+                if tail.__class__ is int:
+                    made[origin] = chain(run, tail)
+                    return
 
         result = known(first)
         while result.__class__ is frozenset:
@@ -784,13 +694,9 @@ class _Automaton:
                     kids.append(tail)
                 else:
                     stack.pop()
-                    edges = [((d, *tail), stop) for d, (tail, stop) in zip(digits, kids) if count[stop]]
-                    if final or len(edges) > 1:
-                        state = self._state(final, [self._edge(*e) for e in edges])
-                        made[origin] = (tuple(run), state)
-                    else:
-                        made[origin] = (tuple(run) + edges[0][0], edges[0][1]) if edges else dead
-                    if count[made[origin][1]] > budget or len(made) > cap:
+                    state = self._state(final, {d: s for d, s in zip(digits, kids) if count[s]})
+                    state = made[origin] = chain(run, state)
+                    if count[state] > budget or len(made) > cap:
                         raise BudgetExceededError(f"product set exceeded budget of {budget} elements")
             result = known(first)
         return result
@@ -826,6 +732,8 @@ def product(sets: Sequence[ElementSet], budget: int) -> ElementSet:
     BudgetExceededError once a level after the first has more than `budget`
     elements, before any word of it is stored.  It holds the syllables of
     the last level's words; its elements are built only if iterated."""
+    if len(sets) == 1:
+        return sets[0]
     context = sets[0].context
     dfa = _Automaton(context)
     *_, root = _roots(dfa, sets, budget)

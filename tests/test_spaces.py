@@ -689,6 +689,10 @@ def test_syllable_tuples_stay_inside_words():
     }
     assert found == {}
     assert not hasattr(psgrowth.words, "_levels")
+    # the engine has one state table: no edge table of digit strings
+    dfa = psgrowth.words._Automaton(psgrowth.words.free_group(2))
+    assert not hasattr(dfa, "label") and not hasattr(dfa, "child")
+    assert not hasattr(psgrowth.words._Automaton, "_step")
 
 
 def test_size_callers_count_without_storing_words():

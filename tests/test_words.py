@@ -550,6 +550,16 @@ def test_mixed_products_match_letter_oracle(sets):
     assert sizes == [len(product(sets[:k], 10**6)) for k in range(1, len(sets) + 1)]
 
 
+def test_a_product_of_one_set_is_that_set(monkeypatch):
+    # the first level is U_1 itself, never held to the budget: no automaton
+    def refused(context):
+        raise AssertionError("one set needs no automaton")
+
+    monkeypatch.setattr(words, "_Automaton", refused)
+    U = ElementSet.from_strings(F2, ["ab", "A", "1", "bbA"])
+    assert product([U], 1) == U
+
+
 def test_product_refuses_sets_over_two_contexts():
     with pytest.raises(ValueError, match="context mismatch"):
         product([ElementSet.from_strings(F2, ["a"]), ElementSet.from_strings(Z5Z7, ["a"])], 10)
@@ -727,6 +737,17 @@ def join_levels(sets):
 @given(count_inputs())
 @example([ElementSet(F2, [])] * 2)
 @example([ElementSet.from_strings(Z5Z7, ["a", "ab"]), ElementSet(Z5Z7, []), ElementSet.from_strings(Z5Z7, ["b"])])
+# chains whose words share runs of 20 or more syllables, read by several
+# items at once: level 3 has 27 words, so budget 27 passes and 26 raises
+@example([ElementSet.from_strings(F2, ["ab" * k + "b" for k in (10, 20, 30)])] * 3)
+@example([ElementSet.from_strings(Z5Z7, ["ab" * k + "aa" for k in (10, 20, 30)])] * 3)
+# after reading a, two old states read (ba)^30 together before they branch
+# on c and C: 60 subsets, against a cap of 2*4 + 3*4 + 1 = 21 at budget 4,
+# so a level of 4 words is within budget only if the run is walked
+@example([
+    ElementSet.from_strings(free_group(3), ["c" + "ab" * 30 + "c", "C" + "ab" * 30 + "C"]),
+    ElementSet.from_strings(free_group(3), ["Ca", "ca"]),
+])
 def test_counted_levels_match_the_set_levels(sets):
     want = [len(level) for level in join_levels(sets)]
     assert list(product_sizes(sets, 10**9)) == want
