@@ -11,6 +11,7 @@ its cross Gromov products over all pairs, which are recorded in the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -187,12 +188,14 @@ def reduce_tree(
     if len(U) == 0:
         return _failed(ctx, r, "TooSmall")
 
+    # displacements are edge counts: len(out) * rho0 >= floor exactly when
+    # len(out) >= ceil(floor / rho0), and >= 4r when len(out) >= 4 r_steps
     floor = (
         4 * r if hypothesis_displacement is None else Fraction(hypothesis_displacement)
     )
+    floor_steps = math.ceil(floor / space.rho0)
     labels = {u: space.orbit_labels(u, x0) for u in U}
-    moved = {u: len(out) * space.rho0 for u, (out, _) in labels.items()}
-    above_floor = sum(1 for d in moved.values() if d >= floor)
+    above_floor = sum(1 for out, _ in labels.values() if len(out) >= floor_steps)
     if 4 * above_floor < 3 * len(U):
         return _failed(
             ctx,
@@ -201,7 +204,7 @@ def reduce_tree(
             above_floor=above_floor,
             total=len(U),
         )
-    qualifying = [u for u in U if moved[u] >= 4 * r]
+    qualifying = [u for u in U if len(labels[u][0]) >= 4 * r_steps]
     if not qualifying:
         return _failed(ctx, r, "NothingAboveFourR", total=len(U))
 
@@ -209,15 +212,16 @@ def reduce_tree(
     # their first r edge labels agree, so each sphere point is built once
     keys: dict = {}
 
-    def key(path_labels, g):
+    def key(path_labels, u, inverted):
         prefix = path_labels[:r_steps]
         if prefix not in keys:
+            g = u.inverse() if inverted else u
             point = space.point_at(x0, space.act(g, x0), r_steps)
             keys[prefix] = space.point_key(point)
         return keys[prefix]
 
     keyed = {
-        u: (key(labels[u][0], u), key(labels[u][1], u.inverse())) for u in qualifying
+        u: (key(labels[u][0], u, False), key(labels[u][1], u, True)) for u in qualifying
     }
 
     # minimal-energy sanity: no single sphere point dominates both sides

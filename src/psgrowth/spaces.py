@@ -140,7 +140,11 @@ class FreeGroupTree(ActionSpace):
         return str(x)
 
     def hops(self, x, y) -> int:
-        return (x.inverse() * y).word_length()
+        # the metric is symmetric, and `offset` inverts what is left of the
+        # normal form it starts from: start from the shorter one
+        if len(x.syllables) > len(y.syllables):
+            x, y = y, x
+        return x.offset(y).word_length()
 
     # each backend binds the one `dist` in its own namespace, where perfbench's
     # traced run counts calls per backend class
@@ -152,7 +156,7 @@ class FreeGroupTree(ActionSpace):
         return g * x
 
     def geodesic(self, x, y) -> list:
-        w = x.inverse() * y
+        w = x.offset(y)
         points = [x]
         cur = x
         for g, s in w.letters():
@@ -162,7 +166,7 @@ class FreeGroupTree(ActionSpace):
 
     def point_at(self, x, y, k: int) -> GroupElement:
         """`geodesic(x, y)[k]`, without building the rest of the geodesic."""
-        w = x.inverse() * y
+        w = x.offset(y)
         _check_steps(k, w.word_length())
         prefix = []
         for g, e in w.syllables:
@@ -174,12 +178,12 @@ class FreeGroupTree(ActionSpace):
         return x * GroupElement(self.context, tuple(prefix))
 
     def orbit_labels(self, g: GroupElement, x) -> tuple[tuple, tuple]:
-        """Edge labels of [x, g x] and of [x, g^-1 x], from the one
-        conjugate x^-1 g x: its letters, and the inverses of its letters
-        in reverse order.  Two geodesics from x share exactly k edges when
-        their labels share a prefix of length k."""
-        labels = tuple((x.inverse() * g * x).letters())
-        return labels, tuple((h, -s) for h, s in reversed(labels))
+        """Edge labels of [x, g x] and of [x, g^-1 x]: the letters of
+        x^-1 g x and of its inverse (g x)^-1 x, both read from the normal
+        forms of x and g x (`GroupElement.fork_letters`).  Two geodesics
+        from x share exactly k edges when their labels share a prefix of
+        length k."""
+        return x.fork_letters(g * x)
 
     def translation_length(self, g: GroupElement) -> AxisData:
         """[g] exactly, via cyclic reduction: the axis segment is a
@@ -235,7 +239,7 @@ class FreeProductTree(ActionSpace):
             not isinstance(x, tuple)
             or len(x) != 2
             or not isinstance(x[0], GroupElement)
-            or x[0].context != self.context
+            or (x[0].context is not self.context and x[0].context != self.context)
             or x[1] not in (0, 1)
             or (x[0].syllables and x[0].syllables[-1][0] == x[1])
         ):
@@ -254,13 +258,12 @@ class FreeProductTree(ActionSpace):
         return self.vertex(g * x[0], x[1])
 
     @staticmethod
-    def _labels(start_tag: int, word: GroupElement, end_tag: int) -> tuple:
-        """Edge labels of the geodesic from (1, start_tag) to (word, end_tag).
-        An edge is labelled by the syllable it consumes, or by `TAG_STEP`
-        when it only changes the tag.  A trailing syllable of end_tag stays
-        inside the end coset; normal forms alternate factors, so only the
-        first edge can be tag-only."""
-        syllables = word.syllables
+    def _labels(start_tag: int, syllables: tuple, end_tag: int) -> tuple:
+        """Edge labels of the geodesic from (1, start_tag) to (w, end_tag),
+        for the normal form `syllables` of w.  An edge is labelled by the
+        syllable it consumes, or by `TAG_STEP` when it only changes the tag.
+        A trailing syllable of end_tag stays inside the end coset; normal
+        forms alternate factors, so only the first edge can be tag-only."""
         if syllables and syllables[-1][0] == end_tag:
             syllables = syllables[:-1]
         if not syllables:
@@ -273,7 +276,7 @@ class FreeProductTree(ActionSpace):
         """Edge labels of the geodesic [x, y]."""
         self.check_point(x)
         self.check_point(y)
-        return self._labels(x[1], x[0].inverse() * y[0], y[1])
+        return self._labels(x[1], x[0].offset(y[0]).syllables, y[1])
 
     def hops(self, x, y) -> int:
         return len(self._path(x, y))
@@ -302,12 +305,14 @@ class FreeProductTree(ActionSpace):
         return self.vertex(x[0] * GroupElement(self.context, consumed), x[1] ^ (k % 2))
 
     def orbit_labels(self, g: GroupElement, x) -> tuple[tuple, tuple]:
-        """Edge labels of [x, g x] and of [x, g^-1 x], from the one
-        conjugate c = w^-1 g w, where x = (w, tag).  Two geodesics from x
-        share exactly k edges when their labels share a prefix of length k."""
+        """Edge labels of [x, g x] and of [x, g^-1 x], from the conjugate
+        w^-1 g w and its inverse (g w)^-1 w, where x = (w, tag), both read
+        from the normal forms of w and g w (`GroupElement.fork`).  Two
+        geodesics from x share exactly k edges when their labels share a
+        prefix of length k."""
         w, tag = x
-        c = w.inverse() * g * w
-        return self._labels(tag, c, tag), self._labels(tag, c.inverse(), tag)
+        there, back = w.fork(g * w)
+        return self._labels(tag, there, tag), self._labels(tag, back, tag)
 
     def translation_length(self, g: GroupElement) -> AxisData:
         """[g] exactly, via cyclic reduction: an elliptic g fixes a vertex;

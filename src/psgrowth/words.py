@@ -139,15 +139,35 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         ctx = self.context
-        if ctx.kind == FREE:
-            syl = tuple((g, -e) for g, e in reversed(self.syllables))
-        else:
-            orders = ctx.orders
-            syl = tuple(
-                (g, -e if orders[g] is None else orders[g] - e)
-                for g, e in reversed(self.syllables)
-            )
-        return _element(ctx, syl)
+        return _element(ctx, _invert(_orders(ctx), self.syllables))
+
+    def offset(self, other: "GroupElement") -> "GroupElement":
+        """self^-1 * other, the element that carries self to other, read
+        from the two normal forms past their common prefix (`_fork`)."""
+        ctx = self.context
+        if other.context is not ctx and other.context != ctx:
+            raise ValueError("context mismatch")
+        r, s = _fork(self.syllables, other.syllables)
+        return _element(ctx, _over(_orders(ctx), r, s))
+
+    def fork(self, other: "GroupElement") -> tuple[tuple, tuple]:
+        """The normal forms of self^-1 * other and of other^-1 * self, both
+        read from the remainders of the two normal forms past their common
+        prefix (`_fork`).  In a tree they label the paths from self to
+        other and back, one syllable at a time."""
+        ctx = self.context
+        if other.context is not ctx and other.context != ctx:
+            raise ValueError("context mismatch")
+        r, s = _fork(self.syllables, other.syllables)
+        orders = _orders(ctx)
+        return _over(orders, r, s), _over(orders, s, r)
+
+    def fork_letters(self, other: "GroupElement") -> tuple[tuple, tuple]:
+        """`fork` spelled one letter (gen, +1/-1) at a time: in the Cayley
+        tree of a free group, the edge labels of the paths from self to
+        other and back."""
+        there, back = self.fork(other)
+        return _letters(there), _letters(back)
 
     def __pow__(self, k: int) -> "GroupElement":
         if k < 0:
@@ -181,15 +201,11 @@ class GroupElement:
         For a free group this is the Cayley-tree distance to the identity.
         For a free product the tree-relevant size is `syllable_count`.
         """
-        return sum(abs(e) for _, e in self.syllables)
+        return sum([abs(e) for _, e in self.syllables])
 
-    def letters(self) -> list[tuple[int, int]]:
+    def letters(self) -> tuple[tuple[int, int], ...]:
         """Expansion into single letters (gen, +1/-1)."""
-        out = []
-        for g, e in self.syllables:
-            step = 1 if e > 0 else -1
-            out.extend([(g, step)] * abs(e))
-        return out
+        return _letters(self.syllables)
 
     def first_factor(self) -> Optional[int]:
         return self.syllables[0][0] if self.syllables else None
@@ -269,6 +285,55 @@ def _join(orders: tuple, a: tuple, b: tuple) -> tuple:
             return b[j:]
         if j == len(b):
             return a[: i + 1]
+
+
+def _orders(ctx: PresentationContext) -> tuple:
+    """One order per factor, None for an infinite one: a free group is the
+    free product of its infinite cyclic factors."""
+    return ctx.orders or (None,) * ctx.rank
+
+
+def _invert(orders: tuple, a: tuple) -> tuple:
+    """The syllables of the inverse of the normal form `a`: its syllables in
+    reverse order, each inverted in its factor.  This is the package's one
+    inverse rule; `orders` is `_orders` of the context."""
+    return tuple([(g, -e if orders[g] is None else orders[g] - e) for g, e in a[::-1]])
+
+
+def _fork(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """The normal forms `a` and `b` past their longest common syllable
+    prefix.
+
+    In a tree the path from a to b leaves a where the two normal forms
+    first differ, so with these remainders r and s, a^-1 b = r^-1 s
+    (`_over`)."""
+    k = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        k += 1
+    return a[k:], b[k:]
+
+
+def _over(orders: tuple, r: tuple, s: tuple) -> tuple:
+    """r^-1 s for two `_fork` remainders: they begin with different
+    syllables, so `_join` merges at most those two and cancels nothing."""
+    return _join(orders, _invert(orders, r), s) if r else s
+
+
+# the one-letter runs ((g, 1),) and ((g, -1),) of each generator, shared by
+# every letter expansion
+_RISE = tuple(((g, 1),) for g in range(26))
+_FALL = tuple(((g, -1),) for g in range(26))
+
+
+def _letters(syllables: tuple) -> tuple:
+    """The normal form spelled one letter (gen, +1/-1) at a time, each
+    syllable expanded as one run."""
+    out: list = []
+    for g, e in syllables:
+        out += _RISE[g] * e if e > 0 else _FALL[g] * -e
+    return tuple(out)
 
 
 def parse(ctx: PresentationContext, text: str) -> GroupElement:
@@ -486,7 +551,7 @@ class _Automaton:
     """
 
     def __init__(self, context: PresentationContext):
-        self.orders = context.orders or (None,) * context.rank
+        self.orders = _orders(context)
         self.out: list[dict] = []  # state -> {digit: state after it}
         self.accept: list[bool] = []
         self.count: list[int] = []

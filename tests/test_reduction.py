@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from psgrowth.energy import minimize_energy
 from psgrowth.reduction import certify_cross_products, median_split, reduce_tree, reduced_at
+from psgrowth.spaces import FreeGroupTree
 from psgrowth.words import ElementSet, random_reduced_word, safin_family
 
 from conftest import TREES, ball, w
@@ -108,6 +109,27 @@ def test_reduce_tree_rejects_bad_r(f2_tree):
     U = eset(f2_tree, "aaaa", "bbbb")
     with pytest.raises(ValueError):
         reduce_tree(f2_tree, U, f2_tree.basepoint(), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("floor", ["7/2", "5", "13/2", "29/4", "19/2"])
+def test_reduce_tree_filters_round_floors_up_to_whole_edges(floor):
+    # at rho0 = 3/2 none of these floors is a whole number of edges; the
+    # gate and the 4r filter count edges, and agree with exact lengths
+    space = FreeGroupTree(2, rho0=Fraction(3, 2))
+    U = random_diffuse_set(random.Random(8), space.context, 40, 2, 8)
+    x0, r, floor = space.basepoint(), space.rho0, Fraction(floor)
+    moved = [u.word_length() * space.rho0 for u in U]  # u moves x0 = 1 by |u| edges
+    above = sum(1 for d in moved if d >= floor)
+    qualifying = sum(1 for d in moved if d >= 4 * r)
+    res = reduce_tree(space, U, x0, r, hypothesis_displacement=floor)
+    if 4 * above < 3 * len(U):
+        assert (res.reason, res.counts) == (
+            "ConcentratedOrBelow", {"above_floor": above, "total": len(U)}
+        )
+    else:
+        assert res.certified
+        assert res.counts["qualifying"] == qualifying
+        assert res.discarded_mass == len(U) - qualifying
 
 
 def test_reduce_tree_free_product(z5z7_tree):

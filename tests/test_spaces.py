@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import random
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ import psgrowth
 from psgrowth.growth import concentrated_pipeline
 from psgrowth.hypgeom import small_cancellation_diameter
 from psgrowth.spaces import (
+    TAG_STEP,
     FiniteHypGraph,
     FreeGroupTree,
     FreeProductTree,
@@ -23,7 +25,7 @@ from psgrowth.spaces import (
     load_graph,
     random_connected_graph,
 )
-from psgrowth.words import random_reduced_word
+from psgrowth.words import GroupElement, random_reduced_word
 
 from conftest import TREES, tree_vertex, w
 
@@ -317,6 +319,140 @@ def test_orbit_labels_count_shared_edges(tree, x_text, x_tag, g_text, h_text):
         while shared < min(len(labels), len(h_out)) and labels[shared] == h_out[shared]:
             shared += 1
         assert shared * space.rho0 == space.gromov_product(p, h_x, x)
+
+
+# ---------------------------------------------------------------------------
+# tree geometry on normal forms, against the element arithmetic it replaced
+
+ORACLE_TREES = {
+    (name, rho0): make(rho0)
+    for name, make in (
+        ("F2", lambda rho0: FreeGroupTree(2, rho0=rho0)),
+        ("F3", lambda rho0: FreeGroupTree(3, rho0=rho0)),
+        ("Z5*Z7", lambda rho0: FreeProductTree((5, 7), rho0=rho0)),
+        ("Z2*Z3", lambda rho0: FreeProductTree((2, 3), rho0=rho0)),
+        ("Z*Z5", lambda rho0: FreeProductTree((None, 5), rho0=rho0)),
+    )
+    for rho0 in (Fraction(1), Fraction(3, 2))
+}
+LETTERS = st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=10)
+
+
+def drawn(space, letters):
+    """The element spelled by drawn (generator, inverted) letters, each
+    generator taken modulo the context's."""
+    ctx = space.context
+    n = ctx.num_generators
+    return w(space, "".join("ABC"[g % n] if inv else "abc"[g % n] for g, inv in letters))
+
+
+def spelled(g):
+    """The letters of g's normal form, one syllable letter by letter."""
+    return tuple((h, 1 if e > 0 else -1) for h, e in g.syllables for _ in range(abs(e)))
+
+
+def old_orbit_labels(space, g, x):
+    if isinstance(space, FreeGroupTree):
+        labels = spelled(x.inverse() * g * x)
+        return labels, tuple((h, -s) for h, s in reversed(labels))
+    v, tag = x
+    c = v.inverse() * g * v
+    return space._labels(tag, c.syllables, tag), space._labels(tag, c.inverse().syllables, tag)
+
+
+def old_path(space, x, y):
+    if isinstance(space, FreeGroupTree):
+        return spelled(x.inverse() * y)
+    return space._labels(x[1], (x[0].inverse() * y[0]).syllables, y[1])
+
+
+def old_geodesic(space, x, y):
+    """The geodesic walked one edge at a time by element products."""
+    ctx = space.context
+    points = [x]
+    if isinstance(space, FreeGroupTree):
+        for letter in spelled(x.inverse() * y):
+            points.append(points[-1] * GroupElement(ctx, (letter,)))
+        return points
+    prefix, side = x
+    for label in old_path(space, x, y):
+        if label != TAG_STEP:
+            prefix = prefix * GroupElement(ctx, (label,))
+        side = 1 - side
+        points.append(space.vertex(prefix, side))
+    return points
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    tree=st.sampled_from(sorted(ORACLE_TREES)),
+    x_letters=LETTERS,
+    x_tag=st.integers(0, 1),
+    y_letters=LETTERS,
+    y_tag=st.integers(0, 1),
+    g_letters=LETTERS,
+)
+@example(tree=("F3", Fraction(3, 2)), x_letters=[(2, False), (0, True)], x_tag=0,
+         y_letters=[(2, False), (0, True)], y_tag=0, g_letters=[])  # x = y, g = 1
+@example(tree=("Z2*Z3", Fraction(1)), x_letters=[(0, False), (1, False)], x_tag=0,
+         y_letters=[(0, False), (1, False)], y_tag=0, g_letters=[])  # x = y, g = 1
+@example(tree=("Z*Z5", Fraction(3, 2)), x_letters=[(0, False), (0, False), (1, True)],
+         x_tag=0, y_letters=[(0, False), (1, False)], y_tag=1,
+         g_letters=[(0, False), (0, False), (1, True), (0, True)])
+def test_tree_geometry_matches_element_arithmetic(tree, x_letters, x_tag, y_letters, y_tag,
+                                                  g_letters):
+    space = ORACLE_TREES[tree]
+    ctx = space.context
+    xw, yw, g = drawn(space, x_letters), drawn(space, y_letters), drawn(space, g_letters)
+    is_free = isinstance(space, FreeGroupTree)
+    x = xw if is_free else space.vertex(xw, x_tag)
+    y = yw if is_free else space.vertex(yw, y_tag)
+    path = old_path(space, x, y)
+    if not is_free:
+        assert space._path(x, y) == path
+    assert space.hops(x, y) == len(path)
+    assert space.dist(x, y) == len(path) * space.rho0
+    assert space.hops(x, x) == 0
+    geodesic = old_geodesic(space, x, y)
+    assert space.geodesic(x, y) == geodesic
+    for k, vertex in enumerate(geodesic):
+        assert space.point_at(x, y, k) == vertex
+    for h in (g, ctx.identity()):
+        assert space.orbit_labels(h, x) == old_orbit_labels(space, h, x)
+    # an element that fixes x: only 1 on a Cayley tree; on a Bass-Serre
+    # tree, the vertex stabiliser of (v, tag) is v G_tag v^-1
+    fixer = ctx.identity() if is_free else xw * ctx.generator(x[1]) * xw.inverse()
+    assert space.orbit_labels(fixer, x) == old_orbit_labels(space, fixer, x) == ((), ())
+
+
+@pytest.mark.parametrize("tree", ["F2", "Z5*Z7"])
+def test_tree_geometry_keeps_its_validation(tree):
+    # a context mismatch is a ValueError, as is a vertex that is not in
+    # canonical form; both trees' paths check both ends
+    space = TREES[tree]
+    other = FreeGroupTree(3) if tree == "F2" else FreeProductTree((2, 3))
+    x, y = tree_vertex(space, "ab", 0), tree_vertex(space, "bA", 1)
+    stranger = tree_vertex(other, "ab", 0)
+    g = w(space, "ab")
+    for call in (
+        lambda: space.hops(x, stranger),
+        lambda: space.hops(stranger, x),
+        lambda: space.geodesic(x, stranger),
+        lambda: space.point_at(stranger, y, 0),
+        lambda: space.orbit_labels(w(other, "ab"), x),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    if tree == "Z5*Z7":
+        bad = (w(space, "ab"), 1)  # ends in a syllable of its own tag
+        for call in (
+            lambda: space.hops(x, bad),
+            lambda: space.hops(bad, x),
+            lambda: space.geodesic(bad, y),
+            lambda: space.point_at(x, bad, 0),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +829,25 @@ def test_syllable_tuples_stay_inside_words():
     dfa = psgrowth.words._Automaton(psgrowth.words.free_group(2))
     assert not hasattr(dfa, "label") and not hasattr(dfa, "child")
     assert not hasattr(psgrowth.words._Automaton, "_step")
+
+
+def test_tree_hot_paths_take_no_inverse():
+    # hops, orbit labels and paths read x^-1 y off the two normal forms
+    # (`GroupElement.offset`, `fork` and `fork_letters`); no element inverse
+    # comes back to the trees' hottest calls
+    found = {
+        f"{cls.__name__}.{name}": lines
+        for cls, name in (
+            (FreeGroupTree, "hops"),
+            (FreeGroupTree, "orbit_labels"),
+            (FreeProductTree, "hops"),
+            (FreeProductTree, "_path"),
+            (FreeProductTree, "orbit_labels"),
+        )
+        if (lines := name_reads(textwrap.dedent(inspect.getsource(getattr(cls, name))),
+                                {"inverse"}))
+    }
+    assert found == {}
 
 
 def test_size_callers_count_without_storing_words():
