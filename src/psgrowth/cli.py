@@ -11,11 +11,10 @@ import argparse
 import csv
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import jsonschema
 
 from . import acceptance
 from .energy import Case, Mode, classify, minimize_energy
@@ -149,8 +148,76 @@ CONFIG_SCHEMA = {
     },
 }
 
-# built once: `jsonschema.validate` would check the schema itself on every call
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# the JSON types CONFIG_SCHEMA names; an integer is a JSON integer (2, not 2.0)
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Every way `value` breaks `schema`, as (path, message) pairs, in the
+    order and words of jsonschema's Draft 2020-12 validator.  Only the
+    keywords CONFIG_SCHEMA uses are read, and `additionalProperties` is
+    always false there."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    for keyword, rule in schema.items():
+        if keyword == "type":
+            types = [rule] if isinstance(rule, str) else rule
+            if not any(_IS_TYPE[t](value) for t in types):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword == "enum":
+            if value not in rule:
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif keyword == "minimum":
+            if number and value < rule:
+                yield path, f"{value!r} is less than the minimum of {rule!r}"
+        elif keyword == "maximum":
+            if number and value > rule:
+                yield path, f"{value!r} is greater than the maximum of {rule!r}"
+        elif keyword == "pattern":
+            if isinstance(value, str) and not re.search(rule, value):
+                yield path, f"{value!r} does not match {rule!r}"
+        elif isinstance(value, list):
+            if keyword == "items":
+                for i, item in enumerate(value):
+                    yield from _schema_errors(item, rule, path + (i,))
+            elif keyword == "minItems" and len(value) < rule:
+                yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+            elif keyword == "maxItems" and len(value) > rule:
+                yield path, f"{value!r} is too long"
+        elif isinstance(value, dict):
+            if keyword == "properties":
+                for key, subschema in rule.items():
+                    if key in value:
+                        yield from _schema_errors(value[key], subschema, path + (key,))
+            elif keyword == "required":
+                for key in rule:
+                    if key not in value:
+                        yield path, f"{key!r} is a required property"
+            elif keyword == "additionalProperties":
+                extras = sorted(set(value) - set(schema["properties"]), key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, (
+                        f"Additional properties are not allowed "
+                        f"({', '.join(map(repr, extras))} {verb} unexpected)"
+                    )
+
+
+def _config_error(cfg) -> str | None:
+    """Why `cfg` breaks CONFIG_SCHEMA, or None if it does not: the message
+    jsonschema's `best_match` picks, the first of the errors whose path is
+    shortest and, among those, greatest as a tuple."""
+    best = None
+    for path, message in _schema_errors(cfg, CONFIG_SCHEMA):
+        rank = (-len(path), path)
+        if best is None or rank > best[0]:
+            best = rank, message
+    return None if best is None else best[1]
 
 
 class ConfigError(Exception):
@@ -160,7 +227,10 @@ class ConfigError(Exception):
 def _frac(s, default=None):
     if s is None:
         return default
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError as exc:  # the schema's pattern passes; int() refuses too many digits
+        raise ConfigError(f"{s[:20]}...: {exc}") from None
 
 
 def _parse_at(ctx, text: str, key: str):
@@ -491,21 +561,23 @@ def main(argv=None) -> int:
 
     try:
         cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, bad UTF-8, or an integer of too many digits
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    # the overrides go in first, so the schema checks them too
+    if isinstance(cfg, dict):
+        if args.mode and isinstance(cfg.setdefault("mode", {}), dict):
+            cfg["mode"]["name"] = args.mode
+        if args.budget is not None:
+            cfg["budget"] = args.budget
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+    error = _config_error(cfg)
     if error is not None:
-        print(f"config error: {error.message}", file=sys.stderr)
+        print(f"config error: {error}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.mode:
-        cfg.setdefault("mode", {})["name"] = args.mode
-    if args.budget is not None:
-        cfg["budget"] = args.budget
-    if args.seed is not None:
-        cfg["seed"] = args.seed
 
     try:
         code = run_config(cfg, Path(args.out))

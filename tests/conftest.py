@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import psgrowth
 from psgrowth.spaces import FreeGroupTree, FreeProductTree
 from psgrowth.words import ElementSet, parse, product_set
 
@@ -49,3 +52,11 @@ def tree_vertex(tree, text, tag):
 def digest(report: dict) -> str:
     """A short sha256 of a report's canonical JSON, to pin it in full."""
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def child_pythonpath() -> str:
+    """PYTHONPATH for a child interpreter: the directory this process
+    imported psgrowth from, then any inherited PYTHONPATH, so the child
+    imports the same psgrowth whether or not the package is installed."""
+    import_root = str(Path(psgrowth.__file__).resolve().parent.parent)
+    return os.pathsep.join(filter(None, [import_root, os.environ.get("PYTHONPATH")]))

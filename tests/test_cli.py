@@ -14,6 +14,8 @@ from psgrowth.cli import CONFIG_SCHEMA, ConfigError, main, run_config
 from psgrowth.spaces import NO_HYPERBOLIC_ELEMENT
 from psgrowth.words import GroupElement
 
+from conftest import child_pythonpath
+
 GROWTH_CFG = {
     "command": "growth",
     "space": {"backend": "free_group", "rank": 2},
@@ -22,14 +24,6 @@ GROWTH_CFG = {
     "n_max": 3,
     "seed": 7,
 }
-
-
-def child_pythonpath() -> str:
-    """PYTHONPATH for a child interpreter: the directory this process
-    imported psgrowth from, then any inherited PYTHONPATH, so the child
-    imports the same psgrowth whether or not the package is installed."""
-    import_root = str(Path(psgrowth.__file__).resolve().parent.parent)
-    return os.pathsep.join(filter(None, [import_root, os.environ.get("PYTHONPATH")]))
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -88,7 +82,8 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_config_schema_is_a_valid_schema():
-    # main builds its validator once at import and never re-checks the schema
+    # main walks CONFIG_SCHEMA with its own validator, which never checks
+    # the schema itself
     jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
 
@@ -296,6 +291,8 @@ PATH_GRAPH = {
             space={"backend": "free_group", "rank": 26},
             set={"kind": "random", "max_length": 200},
         ),
+        # matches the rational pattern, and has more digits than int() reads
+        dict(GROWTH_CFG, space={"backend": "free_group", "rank": 2, "rho0": "1" * 5000}),
     ],
     ids=[
         "kappa0_zero_free_group",
@@ -305,6 +302,7 @@ PATH_GRAPH = {
         "generator_not_array",
         "pingpong_no_powers",
         "random_set_overflows_float",
+        "rational_too_many_digits",
     ],
 )
 def test_bad_config_exit_4(tmp_path, cfg, capsys):
@@ -473,6 +471,20 @@ def test_import_does_not_load_numpy():
     # numpy is imported where a graph is built, tree-approximated or an
     # exponent fitted, not by the package or the CLI module
     code = "import sys, psgrowth, psgrowth.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=child_pythonpath()),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_jsonschema():
+    # the CLI checks a config with its own schema walker; jsonschema is a
+    # test-only oracle
+    code = "import sys, psgrowth.cli; print('jsonschema' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
