@@ -10,6 +10,7 @@ finite even when vertex links are infinite.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -88,7 +89,9 @@ def _descend(space: ActionSpace, U: ElementSet, x) -> tuple:
 
     Only the first steps toward the orbit points u x != x can lower the
     energy.  The pass reads, for every u, the displacement d(x, ux) and the
-    first edges of [x, ux] and [x, u^-1 x]; the energy at each neighbour y
+    first edges of [x, ux] and [x, u^-1 x] as one `orbit_prefix` with
+    k = 1, an edge count and two one-label heads, so no path is spelled;
+    the energy at each neighbour y
     then follows from counts, since with edge length rho
         d(y, uy) = d(x, ux) + 2 rho - 2 rho [y on [x, ux]] - 2 rho [y on [x, u^-1 x]]
     when u moves x, d(y, uy) = 2 rho when u != 1 fixes x, and 0 when u = 1
@@ -102,10 +105,10 @@ def _descend(space: ActionSpace, U: ElementSet, x) -> tuple:
         hits: dict = {}  # first edge label -> geodesics [x, ux], [x, u^-1 x] on it
         toward: dict = {}  # first edge label of some [x, ux] -> that u
         for u in U:
-            out, back = space.orbit_labels(u, x)
-            if out:
-                total += len(out)
-                widest = max(widest, len(out))
+            n, out, back = space.orbit_prefix(u, x, 1)
+            if n:
+                total += n
+                widest = max(widest, n)
                 hits[out[0]] = hits.get(out[0], 0) + 1
                 hits[back[0]] = hits.get(back[0], 0) + 1
                 toward.setdefault(out[0], u)
@@ -170,9 +173,11 @@ def classify(
     if profile.displacement < floor:
         case = Case.BELOW_THRESHOLD
     else:
+        # d(x, ux) = hops * rho0 with rho0 > 0, so it is at most the
+        # threshold exactly when the integer hops are at most
+        # floor(threshold / rho0)
         x = profile.base_point
-        near = sum(
-            1 for u in U if space.dist(x, space.act(u, x)) <= threshold
-        )
+        limit = math.floor(threshold / space.rho0)
+        near = sum(1 for u in U if space.hops(x, space.act(u, x)) <= limit)
         case = Case.CONCENTRATED if 4 * near > len(U) else Case.DIFFUSE
     return replace(profile, case=case, mode_name=mode.name)

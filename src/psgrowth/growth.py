@@ -156,7 +156,7 @@ def growth_report(
     violations = []
     truncated = False
     try:
-        for k, size in enumerate(product_sizes([U] * n_max, budget), 1):
+        for k, size in enumerate(product_sizes(itertools.repeat(U, n_max), budget), 1):
             sizes[k] = size
             bounds[k] = (alpha * len(U)) ** ((k + 1) // 2)
             if reason is None and size < bounds[k]:
@@ -225,7 +225,7 @@ def exponent_fit(
         U = family(N)
         if len(U) == 0:
             raise ValueError("U must be nonempty")
-        *_, counts[N] = product_sizes([U] * n, budget)
+        *_, counts[N] = product_sizes(itertools.repeat(U, n), budget)
         xs.append(math.log(len(U)))
         ys.append(math.log(counts[N]))
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) > 1 else 1.0
@@ -329,7 +329,8 @@ def concentrated_pipeline(
     sizes = {}
     if ok:
         chain = ElementSet(U.context, [u * v for u in u2])
-        for k, size in enumerate(product_sizes([chain] * ((n_max + 1) // 2 + 1), budget), 1):
+        levels = itertools.repeat(chain, (n_max + 1) // 2 + 1)
+        for k, size in enumerate(product_sizes(levels, budget), 1):
             sizes[k] = size
             # stop before a level that could pass the budget
             if size * len(chain) > budget:
@@ -437,7 +438,8 @@ def diffuse_pipeline(
     U1, U2 = median_split(space, red.u1, red.u2, x0)
 
     l = (n + 1) // 2
-    W = product([U1] + [U2, U1] * (l - 2), budget)
+    pairs = itertools.chain.from_iterable(itertools.repeat((U2, U1), l - 2))
+    W = product(itertools.chain((U1,), pairs), budget)
 
     consts = AlphaConstants.for_space(space)
     counting = known["counting"] = {}

@@ -60,6 +60,26 @@ def gromov_product(space: ActionSpace, p, q, x) -> Fraction:
     return space.gromov_product(p, q, x)
 
 
+def max_shared_prefix(left: list, right: list) -> int:
+    """The longest common prefix of a sequence from `left` and one from
+    `right`: on a tree, for the edge labels of geodesics from one point x,
+    the largest Gromov product at x over the pairs, in edges.  In
+    lexicographic order the common prefix of two sequences is the shortest
+    common prefix of the adjacent pairs between them, so the maximum is
+    attained by adjacent sequences from different sides."""
+    merged = sorted([(s, 0) for s in left] + [(s, 1) for s in right])
+    best = 0
+    for (a, side_a), (b, side_b) in zip(merged, merged[1:]):
+        if side_a != side_b:
+            n = 0
+            for p, q in zip(a, b):
+                if p != q:
+                    break
+                n += 1
+            best = max(best, n)
+    return best
+
+
 @dataclass(frozen=True)
 class ChainCertificate:
     """Outcome of the discrete quasi-geodesic hypothesis check on a chain.

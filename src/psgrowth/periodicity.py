@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .hypgeom import AxisData, Constants, axis_distance, translation_length
+from .hypgeom import (
+    AxisData,
+    Constants,
+    axis_distance,
+    max_shared_prefix,
+    translation_length,
+)
 from .spaces import ActionSpace
 from .words import ElementSet, GroupElement, power_of, primitive_root, product_sizes
 
@@ -372,7 +378,11 @@ def pingpong_certify(
     Hypotheses checked: V inside <root> with x0 on its axis; t E-reduced at
     x0; displacement and pairwise spacing >= 10a (paper a = 3 nu [E], or
     the practical a_value); the chain Gromov products over the proof's step
-    alphabet admit a margin alpha > 0."""
+    alphabet admit a margin alpha > 0.  The chain's largest product and
+    shortest step are read from the edge labels of the steps at x0
+    (`orbit_labels`): the products as shared label prefixes
+    (`max_shared_prefix`, as in `certify_cross_products`), the steps as
+    label lengths, so no Gromov product is formed pair by pair."""
     root, axis = _normalized_root(space, e_root)
     members = list(V)
     checks = []
@@ -418,26 +428,31 @@ def pingpong_certify(
     if not all(c_.ok for c_ in checks):
         return PingPongCertificate(False, checks=tuple(checks), reason="spacing")
 
-    # chain step alphabet from the proof's point sequence, each point acted
-    # on once: L_A = V^-1, L_B = Gamma_all^-1 t^-1, L_C = Gamma_inv^-1 t on
-    # the left of a product, R_A = t Gamma_all, R_B = t^-1 Gamma_inv on the right
+    # chain step alphabet from the proof's point sequence: L_A = V^-1,
+    # L_B = Gamma_all^-1 t^-1, L_C = Gamma_inv^-1 t on the left of a product,
+    # R_A = t Gamma_all, R_B = t^-1 Gamma_inv on the right.  On a tree a
+    # Gromov product at x0 is the shared prefix of two edge-label paths from
+    # x0, and the labels of h and of h^-1 come from one `orbit_labels` call:
+    # t g gives R_A and L_B, v t gives L_C and R_B, v gives L_A and the
+    # steps of V
     gamma_all = members + [va * vb.inverse() for va, vb in itertools.permutations(members, 2)]
-    gamma_inv = [v.inverse() for v in members]
-    t_inv = t.inverse()
-    left_a = [space.act(v.inverse(), x0) for v in members]
-    left_b = [space.act(g.inverse() * t_inv, x0) for g in gamma_all]
-    left_c = [space.act(g.inverse() * t, x0) for g in gamma_inv]
-    right_a = [space.act(t * g, x0) for g in gamma_all]
-    right_b = [space.act(t_inv * g, x0) for g in gamma_inv]
+    own = [space.orbit_labels(v, x0) for v in members]
+    turned = [space.orbit_labels(t * g, x0) for g in gamma_all]
+    entered = [space.orbit_labels(v * t, x0) for v in members]
+    left_a = [back for _, back in own]
+    left_b = [back for _, back in turned]
+    left_c = [out for out, _ in entered]
+    right_a = [out for out, _ in turned]
+    right_b = [back for _, back in entered]
     # (v, t g'), (t g, t g'): L_A u L_B against R_A; (t g, t^-1 g') at the
     # turn, (t^-1 g, t^-1 g'): L_B u L_C against R_B
-    max_product = max(
-        space.gromov_product(p, q, x0)
-        for lefts, rights in ((left_a + left_b, right_a), (left_b + left_c, right_b))
-        for p in lefts
-        for q in rights
+    max_product = space.rho0 * max(
+        max_shared_prefix(left_a + left_b, right_a),
+        max_shared_prefix(left_b + left_c, right_b),
     )
-    min_step = min(space.dist(x0, p) for p in pts + right_a + right_b)
+    min_step = space.rho0 * min(
+        len(path) for path in itertools.chain(left_a, right_a, right_b)
+    )
 
     alpha = min_step / 2 - max_product
     certified = alpha > 0
@@ -446,7 +461,7 @@ def pingpong_certify(
     )
 
     chain = ElementSet(t.context, [v * t for v in members])
-    counts = dict(enumerate(product_sizes([chain] * n, budget), 1))
+    counts = dict(enumerate(product_sizes(itertools.repeat(chain, n), budget), 1))
     expected = {k: len(members) ** k for k in counts}
     counts_ok = counts == expected
     if certified and not counts_ok:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
+from .hypgeom import max_shared_prefix
 from .spaces import ActionSpace
 from .words import ElementSet, GroupElement
 
@@ -80,24 +81,6 @@ def _failed(ctx, tolerance, reason, **counts) -> ReductionResult:
     )
 
 
-def _max_shared_prefix(left: list, right: list) -> int:
-    """The longest common prefix of a sequence from `left` and one from
-    `right`.  In lexicographic order the common prefix of two sequences is
-    the shortest common prefix of the adjacent pairs between them, so the
-    maximum is attained by adjacent sequences from different sides."""
-    merged = sorted([(s, 0) for s in left] + [(s, 1) for s in right])
-    best = 0
-    for (a, side_a), (b, side_b) in zip(merged, merged[1:]):
-        if side_a != side_b:
-            n = 0
-            for p, q in zip(a, b):
-                if p != q:
-                    break
-                n += 1
-            best = max(best, n)
-    return best
-
-
 def certify_cross_products(
     space: ActionSpace, U1: ElementSet, U2: ElementSet, x0, tol: Fraction
 ) -> tuple[bool, dict]:
@@ -114,8 +97,8 @@ def certify_cross_products(
     for u in chain(U1, U2):
         if u not in labels:
             labels[u] = space.orbit_labels(u, x0)
-    m1 = _max_shared_prefix([labels[u][1] for u in U1], [labels[v][0] for v in U2])
-    m2 = _max_shared_prefix([labels[v][1] for v in U2], [labels[u][0] for u in U1])
+    m1 = max_shared_prefix([labels[u][1] for u in U1], [labels[v][0] for v in U2])
+    m2 = max_shared_prefix([labels[v][1] for v in U2], [labels[u][0] for u in U1])
     maxima = {
         "u1_inv_vs_u2": m1 * space.rho0,
         "u2_inv_vs_u1": m2 * space.rho0,
@@ -188,14 +171,15 @@ def reduce_tree(
     if len(U) == 0:
         return _failed(ctx, r, "TooSmall")
 
-    # displacements are edge counts: len(out) * rho0 >= floor exactly when
-    # len(out) >= ceil(floor / rho0), and >= 4r when len(out) >= 4 r_steps
+    # displacements are edge counts: n * rho0 >= floor exactly when
+    # n >= ceil(floor / rho0), and >= 4r when n >= 4 r_steps; only the
+    # first r_steps labels of each direction are read (`orbit_prefix`)
     floor = (
         4 * r if hypothesis_displacement is None else Fraction(hypothesis_displacement)
     )
     floor_steps = math.ceil(floor / space.rho0)
-    labels = {u: space.orbit_labels(u, x0) for u in U}
-    above_floor = sum(1 for out, _ in labels.values() if len(out) >= floor_steps)
+    heads = {u: space.orbit_prefix(u, x0, r_steps) for u in U}
+    above_floor = sum(1 for n, _, _ in heads.values() if n >= floor_steps)
     if 4 * above_floor < 3 * len(U):
         return _failed(
             ctx,
@@ -204,7 +188,7 @@ def reduce_tree(
             above_floor=above_floor,
             total=len(U),
         )
-    qualifying = [u for u in U if len(labels[u][0]) >= 4 * r_steps]
+    qualifying = [u for u in U if heads[u][0] >= 4 * r_steps]
     if not qualifying:
         return _failed(ctx, r, "NothingAboveFourR", total=len(U))
 
@@ -212,8 +196,7 @@ def reduce_tree(
     # their first r edge labels agree, so each sphere point is built once
     keys: dict = {}
 
-    def key(path_labels, u, inverted):
-        prefix = path_labels[:r_steps]
+    def key(prefix, u, inverted):
         if prefix not in keys:
             g = u.inverse() if inverted else u
             point = space.point_at(x0, space.act(g, x0), r_steps)
@@ -221,7 +204,7 @@ def reduce_tree(
         return keys[prefix]
 
     keyed = {
-        u: (key(labels[u][0], u, False), key(labels[u][1], u, True)) for u in qualifying
+        u: (key(heads[u][1], u, False), key(heads[u][2], u, True)) for u in qualifying
     }
 
     # minimal-energy sanity: no single sphere point dominates both sides
@@ -274,10 +257,11 @@ def median_split(
     if len(U1) == 0 or len(U2) == 0:
         raise ValueError("median_split needs nonempty inputs")
 
+    # displacements as integer hops: scaling by rho0 > 0 keeps their order
     disp: dict = {}
     for u in chain(U1, U2):
         if u not in disp:
-            disp[u] = space.dist(x0, space.act(u, x0))
+            disp[u] = space.hops(x0, space.act(u, x0))
 
     def median(values):
         vals = sorted(values)

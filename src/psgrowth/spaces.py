@@ -18,6 +18,7 @@ rho0.  Infinite backends never materialize the space.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -66,8 +67,8 @@ class ActionSpace:
     kappa0: Fraction
     N0: int
     context: Optional[PresentationContext]
-    # the tree backends: delta = 0, and the tree-only methods `orbit_labels`
-    # and `point_at` exist
+    # the tree backends: delta = 0, and the tree-only methods `orbit_labels`,
+    # `orbit_prefix` and `point_at` exist
     is_tree = False
 
     # subclasses implement: hops, act, geodesic, basepoint, check_point,
@@ -140,11 +141,7 @@ class FreeGroupTree(ActionSpace):
         return str(x)
 
     def hops(self, x, y) -> int:
-        # the metric is symmetric, and `offset` inverts what is left of the
-        # normal form it starts from: start from the shorter one
-        if len(x.syllables) > len(y.syllables):
-            x, y = y, x
-        return x.offset(y).word_length()
+        return x.offset_length(y)
 
     # each backend binds the one `dist` in its own namespace, where perfbench's
     # traced run counts calls per backend class
@@ -179,11 +176,17 @@ class FreeGroupTree(ActionSpace):
 
     def orbit_labels(self, g: GroupElement, x) -> tuple[tuple, tuple]:
         """Edge labels of [x, g x] and of [x, g^-1 x]: the letters of
-        x^-1 g x and of its inverse (g x)^-1 x, both read from the normal
-        forms of x and g x (`GroupElement.fork_letters`).  Two geodesics
-        from x share exactly k edges when their labels share a prefix of
-        length k."""
-        return x.fork_letters(g * x)
+        x^-1 g x and of its inverse (g x)^-1 x (`orbit_prefix` of every
+        label).  Two geodesics from x share exactly k edges when their
+        labels share a prefix of length k."""
+        return self.orbit_prefix(g, x, sys.maxsize)[1:]
+
+    def orbit_prefix(self, g: GroupElement, x, k: int) -> tuple[int, tuple, tuple]:
+        """`(n, out[:k], back[:k])` for `(out, back) = orbit_labels(g, x)`
+        and n = len(out) = hops(x, g x), read from the normal forms of x
+        and g x past their common prefix (`GroupElement.fork_letters_head`)
+        without spelling more of either path than its first k labels."""
+        return x.fork_letters_head(g * x, k)
 
     def translation_length(self, g: GroupElement) -> AxisData:
         """[g] exactly, via cyclic reduction: the axis segment is a
@@ -306,13 +309,28 @@ class FreeProductTree(ActionSpace):
 
     def orbit_labels(self, g: GroupElement, x) -> tuple[tuple, tuple]:
         """Edge labels of [x, g x] and of [x, g^-1 x], from the conjugate
-        w^-1 g w and its inverse (g w)^-1 w, where x = (w, tag), both read
-        from the normal forms of w and g w (`GroupElement.fork`).  Two
-        geodesics from x share exactly k edges when their labels share a
-        prefix of length k."""
+        w^-1 g w and its inverse (g w)^-1 w, where x = (w, tag)
+        (`orbit_prefix` of every label).  Two geodesics from x share
+        exactly k edges when their labels share a prefix of length k."""
+        return self.orbit_prefix(g, x, sys.maxsize)[1:]
+
+    def orbit_prefix(self, g: GroupElement, x, k: int) -> tuple[int, tuple, tuple]:
+        """`(n, out[:k], back[:k])` for `(out, back) = orbit_labels(g, x)`
+        and n = len(out) = hops(x, g x), from the syllable count of
+        c = w^-1 g w and the first k + 1 syllables of c and of c^-1
+        (`GroupElement.fork_head`).  `_labels` of a head drops at most its
+        last syllable, which no label of the first k reads."""
         w, tag = x
-        there, back = w.fork(g * w)
-        return self._labels(tag, there, tag), self._labels(tag, back, tag)
+        count, there, back = w.fork_head(g * w, k + 1)
+        if not count:
+            return 0, (), ()
+        # c^-1 begins in the factor that c ends in; a last syllable of the
+        # tag's factor stays inside the coset, and a first one of the other
+        # factor takes a tag-only edge first
+        n = count - (back[0][0] == tag)
+        if n:
+            n += there[0][0] != tag
+        return n, self._labels(tag, there, tag)[:k], self._labels(tag, back, tag)[:k]
 
     def translation_length(self, g: GroupElement) -> AxisData:
         """[g] exactly, via cyclic reduction: an elliptic g fixes a vertex;

@@ -18,11 +18,13 @@ inverses ``A..Z`` ("abA" = a * b * a^-1).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import string
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 FREE = "free"
 FREE_PRODUCT = "free_product"
@@ -139,35 +141,46 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         ctx = self.context
-        return _element(ctx, _invert(_orders(ctx), self.syllables))
+        return _element(ctx, _over(_orders(ctx), self.syllables, ()))
+
+    def _forked(self, other: "GroupElement") -> tuple[tuple, tuple]:
+        """The remainders r and s of the two normal forms past their common
+        prefix (`_fork`), so that self^-1 * other = r^-1 s (`_over`)."""
+        ctx = self.context
+        if other.context is not ctx and other.context != ctx:
+            raise ValueError("context mismatch")
+        return _fork(self.syllables, other.syllables)
 
     def offset(self, other: "GroupElement") -> "GroupElement":
         """self^-1 * other, the element that carries self to other, read
         from the two normal forms past their common prefix (`_fork`)."""
-        ctx = self.context
-        if other.context is not ctx and other.context != ctx:
-            raise ValueError("context mismatch")
-        r, s = _fork(self.syllables, other.syllables)
-        return _element(ctx, _over(_orders(ctx), r, s))
+        r, s = self._forked(other)
+        return _element(self.context, _over(_orders(self.context), r, s))
 
-    def fork(self, other: "GroupElement") -> tuple[tuple, tuple]:
-        """The normal forms of self^-1 * other and of other^-1 * self, both
-        read from the remainders of the two normal forms past their common
-        prefix (`_fork`).  In a tree they label the paths from self to
-        other and back, one syllable at a time."""
-        ctx = self.context
-        if other.context is not ctx and other.context != ctx:
-            raise ValueError("context mismatch")
-        r, s = _fork(self.syllables, other.syllables)
-        orders = _orders(ctx)
-        return _over(orders, r, s), _over(orders, s, r)
+    def fork_head(self, other: "GroupElement", m: int) -> tuple[int, tuple, tuple]:
+        """The syllable count of self^-1 * other with the first m syllables
+        of it and of other^-1 * self, read from at most m + 1 syllables of
+        each `_fork` remainder.  In a tree they label the paths from self
+        to other and back, one syllable at a time."""
+        r, s = self._forked(other)
+        orders = _orders(self.context)
+        merged = r and s and r[0][0] == s[0][0]
+        return len(r) + len(s) - bool(merged), _over(orders, r, s, m), _over(orders, s, r, m)
 
-    def fork_letters(self, other: "GroupElement") -> tuple[tuple, tuple]:
-        """`fork` spelled one letter (gen, +1/-1) at a time: in the Cayley
-        tree of a free group, the edge labels of the paths from self to
-        other and back."""
-        there, back = self.fork(other)
-        return _letters(there), _letters(back)
+    def offset_length(self, other: "GroupElement") -> int:
+        """In a free group, the letter count of self^-1 * other (`_span`),
+        with no letter spelled and no offset built."""
+        return _span(*self._forked(other))
+
+    def fork_letters_head(self, other: "GroupElement", k: int) -> tuple[int, tuple, tuple]:
+        """In a free group, `offset_length` with the first k letters of
+        self^-1 * other and of other^-1 * self: the length of the paths
+        from self to other and back in the Cayley tree, and the first k edge
+        labels (gen, +1/-1) of each, spelled from its first k syllables."""
+        r, s = self._forked(other)
+        orders = _orders(self.context)
+        there, back = _over(orders, r, s, k), _over(orders, s, r, k)
+        return _span(r, s), _letters(there)[:k], _letters(back)[:k]
 
     def __pow__(self, k: int) -> "GroupElement":
         if k < 0:
@@ -293,13 +306,6 @@ def _orders(ctx: PresentationContext) -> tuple:
     return ctx.orders or (None,) * ctx.rank
 
 
-def _invert(orders: tuple, a: tuple) -> tuple:
-    """The syllables of the inverse of the normal form `a`: its syllables in
-    reverse order, each inverted in its factor.  This is the package's one
-    inverse rule; `orders` is `_orders` of the context."""
-    return tuple([(g, -e if orders[g] is None else orders[g] - e) for g, e in a[::-1]])
-
-
 def _fork(a: tuple, b: tuple) -> tuple[tuple, tuple]:
     """The normal forms `a` and `b` past their longest common syllable
     prefix.
@@ -315,10 +321,40 @@ def _fork(a: tuple, b: tuple) -> tuple[tuple, tuple]:
     return a[k:], b[k:]
 
 
-def _over(orders: tuple, r: tuple, s: tuple) -> tuple:
-    """r^-1 s for two `_fork` remainders: they begin with different
-    syllables, so `_join` merges at most those two and cancels nothing."""
-    return _join(orders, _invert(orders, r), s) if r else s
+def _over(orders: tuple, r: tuple, s: tuple, m: int = sys.maxsize) -> tuple:
+    """The first m syllables (all by default) of r^-1 s, for two `_fork`
+    remainders r and s or for s = () (r^-1 alone).
+
+    This is the package's one inverse rule: r's syllables from the last,
+    each inverted in its factor (`orders` is `_orders` of the context).
+    Two `_fork` remainders begin with different syllables, so `_join` then
+    merges at most r's first syllable into s's first and cancels nothing:
+    the first m syllables read only the last m syllables of r and the
+    first m + 1 - len(r) of s."""
+    out: list = []
+    for g, e in reversed(r):
+        if len(out) == m:
+            return tuple(out)
+        n = orders[g]
+        out.append((g, -e if n is None else n - e))
+    return _join(orders, tuple(out), s[: m - len(out) + 1])[:m]
+
+
+def _span(r: tuple, s: tuple) -> int:
+    """The letter count of r^-1 s for two `_fork` remainders in a free
+    group: their letters, less twice the overlap of their first syllables
+    when these are powers of one generator with the same sign, which is
+    all that `_over` cancels."""
+    n = 0
+    for _, e in r:
+        n += e if e > 0 else -e
+    for _, e in s:
+        n += e if e > 0 else -e
+    if r and s:
+        (g, e), (h, f) = r[0], s[0]
+        if g == h and (e > 0) == (f > 0):
+            n -= 2 * min(abs(e), abs(f))
+    return n
 
 
 # the one-letter runs ((g, 1),) and ((g, -1),) of each generator, shared by
@@ -767,12 +803,15 @@ class _Automaton:
         return result
 
 
-def _roots(dfa: _Automaton, sets: Sequence[ElementSet], budget: int) -> Iterator[int]:
+def _roots(
+    dfa: _Automaton, first: ElementSet, later: Iterable[ElementSet], budget: int
+) -> Iterator[int]:
     """The roots in `dfa` of the levels U_1, U_1 U_2, ..., U_1 ... U_m of
-    element sets over one context, each made only when asked for.  The
-    first level is U_1 itself, never held to `budget`; a later level raises
-    BudgetExceededError once it has more than `budget` elements."""
-    first, *later = sets
+    element sets over one context, for U_1 = `first` and the sets of
+    `later` after it, each level made only when asked for and each later
+    set drawn only then.  The first level is U_1 itself, never held to
+    `budget`; a later level raises BudgetExceededError once it has more
+    than `budget` elements."""
     root = dfa.times(dfa.leaf, first, None)
     yield root
     for U in later:
@@ -782,27 +821,35 @@ def _roots(dfa: _Automaton, sets: Sequence[ElementSet], budget: int) -> Iterator
         yield root
 
 
-def product_sizes(sets: Sequence[ElementSet], budget: int) -> Iterator[int]:
+def product_sizes(sets: Iterable[ElementSet], budget: int) -> Iterator[int]:
     """|U_1|, |U_1 U_2|, ..., |U_1 ... U_m| for element sets over one
     context, counted on each level's automaton; a caller that stops early
-    never makes the next level.  Raises BudgetExceededError once a level
-    after the first has more than `budget` elements."""
-    dfa = _Automaton(sets[0].context)
-    for root in _roots(dfa, sets, budget):
+    never makes the next level, and `sets` may be any iterable, drawn one
+    set a level (`itertools.repeat(U, n)` holds no list of n sets).
+    Raises BudgetExceededError once a level after the first has more than
+    `budget` elements."""
+    sets = iter(sets)
+    first = next(sets)
+    dfa = _Automaton(first.context)
+    for root in _roots(dfa, first, sets, budget):
         yield dfa.count[root]
 
 
-def product(sets: Sequence[ElementSet], budget: int) -> ElementSet:
+def product(sets: Iterable[ElementSet], budget: int) -> ElementSet:
     """The product set U_1 U_2 ... U_m of element sets over one context, or
     BudgetExceededError once a level after the first has more than `budget`
-    elements, before any word of it is stored.  It holds the syllables of
-    the last level's words; its elements are built only if iterated."""
-    if len(sets) == 1:
-        return sets[0]
-    context = sets[0].context
-    dfa = _Automaton(context)
-    *_, root = _roots(dfa, sets, budget)
-    return ElementSet._from_syllables(context, frozenset(dfa.language(root)))
+    elements, before any word of it is stored.  `sets` may be any iterable,
+    as for `product_sizes`.  It holds the syllables of the last level's
+    words; its elements are built only if iterated."""
+    sets = iter(sets)
+    first = next(sets)
+    second = next(sets, None)
+    if second is None:
+        return first
+    dfa = _Automaton(first.context)
+    for root in _roots(dfa, first, itertools.chain((second,), sets), budget):
+        pass
+    return ElementSet._from_syllables(first.context, frozenset(dfa.language(root)))
 
 
 def product_set(U: ElementSet, n: int, budget: int = 10_000_000) -> ElementSet:
@@ -812,7 +859,7 @@ def product_set(U: ElementSet, n: int, budget: int = 10_000_000) -> ElementSet:
         raise ValueError("n must be >= 1")
     if len(U) == 0:
         raise ValueError("U must be nonempty")
-    return product([U] * n, budget)
+    return product(itertools.repeat(U, n), budget)
 
 
 def safin_family(ctx: PresentationContext, N: int) -> ElementSet:

@@ -702,23 +702,14 @@ def test_installed_entry_point(tmp_path):
     assert (out / "report.json").exists()
 
 
-def test_a_level_over_the_default_budget_exits_3_in_bounded_memory(tmp_path):
-    # 40 random F_2 words of up to 7 letters, n_max 5, no budget key: |U^5|
-    # passes the default budget of 10^7 elements, which the counts find out
-    # with no level stored, far inside 2 GB of address space
+def run_in_two_gigabytes(tmp_path, cfg) -> tuple[subprocess.CompletedProcess, Path]:
+    """Run the CLI on a config in a child process whose address space is
+    limited to 2 GB; returns the finished process and its output folder."""
     import resource
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
 
-    cfg = {
-        "command": "growth",
-        "space": {"backend": "free_group", "rank": 2},
-        "set": {"kind": "random", "count": 40, "max_length": 7},
-        "mode": {"name": "paper"},
-        "n_max": 5,
-        "seed": 3,
-    }
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "psgrowth.cli", "--config", str(write_cfg(tmp_path, cfg)),
@@ -729,10 +720,45 @@ def test_a_level_over_the_default_budget_exits_3_in_bounded_memory(tmp_path):
         preexec_fn=limit_memory,
         timeout=60,
     )
+    return proc, out
+
+
+def test_a_level_over_the_default_budget_exits_3_in_bounded_memory(tmp_path):
+    # 40 random F_2 words of up to 7 letters, n_max 5, no budget key: |U^5|
+    # passes the default budget of 10^7 elements, which the counts find out
+    # with no level stored, far inside 2 GB of address space
+    cfg = {
+        "command": "growth",
+        "space": {"backend": "free_group", "rank": 2},
+        "set": {"kind": "random", "count": 40, "max_length": 7},
+        "mode": {"name": "paper"},
+        "n_max": 5,
+        "seed": 3,
+    }
+    proc, out = run_in_two_gigabytes(tmp_path, cfg)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     growth = json.loads((out / "report.json").read_text())["growth"]
     assert sorted(growth["sizes"]) == ["1", "2", "3", "4"]
+    assert growth["truncated"] is True
+
+
+def test_a_huge_n_max_exits_3_in_bounded_memory(tmp_path):
+    # the schema puts no maximum on n_max, and the levels of {a, b}^n are
+    # drawn one at a time: |{a, b}^24| = 2^24 passes the default budget
+    # long before a list of 10^9 sets could be built
+    cfg = {
+        "command": "growth",
+        "space": {"backend": "free_group", "rank": 2},
+        "set": {"kind": "explicit", "elements": ["a", "b"]},
+        "mode": {"name": "paper"},
+        "n_max": 10**9,
+    }
+    proc, out = run_in_two_gigabytes(tmp_path, cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    growth = json.loads((out / "report.json").read_text())["growth"]
+    assert len(growth["sizes"]) == 23 and growth["sizes"]["23"] == 2**23
     assert growth["truncated"] is True
 
 

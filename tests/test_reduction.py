@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psgrowth.energy import minimize_energy
+from psgrowth.periodicity import pingpong_certify
 from psgrowth.reduction import certify_cross_products, median_split, reduce_tree, reduced_at
 from psgrowth.spaces import FreeGroupTree
 from psgrowth.words import ElementSet, random_reduced_word, safin_family
@@ -373,3 +375,56 @@ def test_every_reduction_exit(case):
     res = run()
     assert res.as_dict() == expected
     assert (res.u1.to_strings(), res.u2.to_strings()) == (u1, u2)
+
+
+# ---------------------------------------------------------------------------
+# what the tree certificates read
+
+
+def counting(monkeypatch, cls, names) -> Counter:
+    """Count the calls of the named methods of a backend class."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _method=getattr(cls, name), **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("tree", sorted(TREES))
+def test_tree_certificates_read_prefixes_not_whole_paths(tree, monkeypatch):
+    # the descent reads one `orbit_prefix` per element a pass, the peel one
+    # per element; only `certify_cross_products` spells whole label paths,
+    # once per element of U1 and U2; ping-pong's chain maximum reads the
+    # labels of its 15 steps and forms no Gromov product.  Each
+    # `orbit_labels` is one `orbit_prefix` with no bound on k
+    space = TREES[tree]
+    ctx = space.context
+    rng = random.Random(64)
+    if tree == "F2":
+        drawn = random_diffuse_set(rng, ctx, 80)
+    else:
+        drawn = {w(space, "".join(rng.choice(["a", "aa", "b", "bbb"]) for _ in range(8)))
+                 for _ in range(80)}
+    conjugator = w(space, "aab")  # moves the minimiser off the basepoint
+    U = ElementSet(ctx, [u.conjugate_by(conjugator) for u in drawn])
+    calls = counting(monkeypatch, type(space), ("orbit_labels", "orbit_prefix", "gromov_product"))
+
+    prof = minimize_energy(space, U)
+    assert prof.descent_steps > 0
+    assert calls == {"orbit_prefix": len(U) * (prof.descent_steps + 1)}
+
+    calls.clear()
+    res = reduce_tree(space, U, prof.base_point, space.rho0)
+    assert res.certified
+    whole = len(set(res.u1) | set(res.u2))
+    assert calls == {"orbit_prefix": len(U) + whole, "orbit_labels": whole}
+
+    calls.clear()
+    root = w(space, "ab")
+    V = ElementSet(ctx, [root**10, root**20, root**30])
+    t = w(space, "b" if tree == "F2" else "aa")
+    cert = pingpong_certify(space, V, root, t, 3, space.basepoint(), a_value=2)
+    assert cert.certified
+    assert calls == {"orbit_labels": 15, "orbit_prefix": 15}

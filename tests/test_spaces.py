@@ -425,6 +425,36 @@ def test_tree_geometry_matches_element_arithmetic(tree, x_letters, x_tag, y_lett
     assert space.orbit_labels(fixer, x) == old_orbit_labels(space, fixer, x) == ((), ())
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    tree=st.sampled_from(sorted(ORACLE_TREES)),
+    x_letters=LETTERS,
+    x_tag=st.integers(0, 1),
+    g_letters=LETTERS,
+)
+@example(tree=("Z5*Z7", Fraction(1)), x_letters=[(0, False), (1, False)], x_tag=0,
+         g_letters=[])  # g = 1
+@example(tree=("Z2*Z3", Fraction(1)), x_letters=[], x_tag=0,
+         g_letters=[(1, False), (0, False)])  # g = ba ends in a syllable of the tag
+@example(tree=("F2", Fraction(1)), x_letters=[(0, False), (1, False)], x_tag=0,
+         g_letters=[(0, False), (0, False), (1, False), (0, True)])  # x, g x open a, aa
+def test_orbit_prefix_is_the_head_of_the_orbit_labels(tree, x_letters, x_tag, g_letters):
+    # the prefix read is hops(x, g x) with the first k labels of each side
+    # of the element-arithmetic orbit labels, for every k up to past the
+    # path's end, and for an element that fixes x
+    space = ORACLE_TREES[tree]
+    ctx = space.context
+    xw, g = drawn(space, x_letters), drawn(space, g_letters)
+    is_free = isinstance(space, FreeGroupTree)
+    x = xw if is_free else space.vertex(xw, x_tag)
+    fixer = ctx.identity() if is_free else xw * ctx.generator(x[1]) * xw.inverse()
+    for h in (g, g.inverse(), ctx.identity(), fixer):
+        out, back = old_orbit_labels(space, h, x)
+        assert len(out) == space.hops(x, space.act(h, x))
+        for k in range(5):
+            assert space.orbit_prefix(h, x, k) == (len(out), out[:k], back[:k])
+
+
 @pytest.mark.parametrize("tree", ["F2", "Z5*Z7"])
 def test_tree_geometry_keeps_its_validation(tree):
     # a context mismatch is a ValueError, as is a vertex that is not in
@@ -440,6 +470,7 @@ def test_tree_geometry_keeps_its_validation(tree):
         lambda: space.geodesic(x, stranger),
         lambda: space.point_at(stranger, y, 0),
         lambda: space.orbit_labels(w(other, "ab"), x),
+        lambda: space.orbit_prefix(w(other, "ab"), x, 1),
     ):
         with pytest.raises(ValueError):
             call()
@@ -832,17 +863,20 @@ def test_syllable_tuples_stay_inside_words():
 
 
 def test_tree_hot_paths_take_no_inverse():
-    # hops, orbit labels and paths read x^-1 y off the two normal forms
-    # (`GroupElement.offset`, `fork` and `fork_letters`); no element inverse
-    # comes back to the trees' hottest calls
+    # hops, orbit labels, orbit prefixes and paths read x^-1 y off the two
+    # normal forms (`GroupElement.offset`, `offset_length`, `fork_head` and
+    # `fork_letters_head`); no element inverse comes back to the trees'
+    # hottest calls
     found = {
         f"{cls.__name__}.{name}": lines
         for cls, name in (
             (FreeGroupTree, "hops"),
             (FreeGroupTree, "orbit_labels"),
+            (FreeGroupTree, "orbit_prefix"),
             (FreeProductTree, "hops"),
             (FreeProductTree, "_path"),
             (FreeProductTree, "orbit_labels"),
+            (FreeProductTree, "orbit_prefix"),
         )
         if (lines := name_reads(textwrap.dedent(inspect.getsource(getattr(cls, name))),
                                 {"inverse"}))

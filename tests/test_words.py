@@ -221,6 +221,26 @@ def test_products_and_inverses_are_in_normal_form(name, x, y):
         assert_normal_form(el)
 
 
+@settings(derandomize=True, max_examples=200)
+@given(st.sampled_from(sorted(ALL_CONTEXTS)), fp_texts, fp_texts, st.integers(0, 4))
+@example("Z/5*Z/7", "abab", "abaab", 1)  # remainders a^1 and a^2 merge
+@example("F2", "abA", "abB", 2)
+@example("F2", "ab", "ab", 0)
+def test_fork_reads_are_heads_of_the_offsets(name, x, y, m):
+    # x^-1 y and y^-1 x read past the common prefix of x and y, whole and
+    # cut to their first m syllables (first m letters in a free group),
+    # against the products of inverses
+    ctx = ALL_CONTEXTS[name]
+    gx, gy = parse(ctx, x), parse(ctx, y)
+    there, back = gx.inverse() * gy, gy.inverse() * gx
+    assert gx.offset(gy) == there
+    assert gx.fork_head(gy, m) == (there.syllable_count, there.syllables[:m], back.syllables[:m])
+    if ctx.kind == "free":
+        assert gx.offset_length(gy) == there.word_length()
+        assert gx.fork_letters_head(gy, m) == (
+            there.word_length(), there.letters()[:m], back.letters()[:m])
+
+
 def test_equal_syllables_in_two_contexts_stay_apart():
     x, y = parse(F2, "ab"), parse(Z5Z7, "ab")
     assert x.syllables == y.syllables
@@ -558,6 +578,18 @@ def test_a_product_of_one_set_is_that_set(monkeypatch):
     monkeypatch.setattr(words, "_Automaton", refused)
     U = ElementSet.from_strings(F2, ["ab", "A", "1", "bbA"])
     assert product([U], 1) == U
+
+
+def test_levels_are_drawn_from_any_iterable():
+    # the level driver draws one set a level, so n copies of U need no list
+    # of n sets: a caller passes `itertools.repeat` or a generator
+    U = ElementSet.from_strings(F2, ["a", "b"])
+    endless = product_sizes(itertools.repeat(U, 10**12), 100)
+    assert list(itertools.islice(endless, 5)) == [2, 4, 8, 16, 32]
+    with pytest.raises(BudgetExceededError):
+        list(product_sizes(itertools.repeat(U, 10**12), 100))
+    assert product((U for _ in range(3)), 100) == product([U, U, U], 100)
+    assert product(iter([U]), 1) is U
 
 
 def test_product_refuses_sets_over_two_contexts():
