@@ -388,7 +388,9 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     if command in ("reduce", "period", "pingpong") and on_graph:
         raise ConfigError(f"{command} needs a hyperbolic element, and {NO_HYPERBOLIC_ELEMENT}")
     if on_graph and "graph" in cfg["space"]:
-        # the four-point delta scans every vertex quadruple: n^4 time
+        # the four-point delta scans every vertex quadruple, each once at its
+        # least vertex (about n^4 / 4 steps); the cap is kept at n^4, since it
+        # decides which graph configs exit 3
         n = cfg["space"]["graph"]["vertices"]
         if n**4 > budget:
             raise BudgetExceededError(f"{n} vertices make {n**4} quadruples")

@@ -448,13 +448,18 @@ class FiniteHypGraph(ActionSpace):
         2 (.|.)_w, min(G[x,y], G[y,z]) - G[x,z] = S2 - max(S1, S3) for the sums
         S1 = d(w,x) + d(y,z), S2 = d(w,y) + d(x,z), S3 = d(w,z) + d(x,y), so its
         max is the gap of the two largest pairing sums, in integer hops (the
-        result may be a half-integer times rho0); n^4 time, 4 n^3 bytes."""
+        result may be a half-integer times rho0).  That gap does not depend on
+        which point is named w, so each unordered quadruple is scanned once,
+        at its least vertex: G runs over the vertices after w, every ordering
+        of the other three is still seen, and a tuple with a repeated point has
+        gap <= 0.  About n^4 / 4 time, 4 n^3 bytes."""
         import numpy as np
 
         D = np.array(self._hops, dtype=np.int32)
         gap = 0
-        for w in range(self.n):
-            G = D[w, :, None] + D[w, None, :] - D
+        for w in range(self.n - 3):
+            r, E = D[w, w + 1 :], D[w + 1 :, w + 1 :]
+            G = r[:, None] + r[None, :] - E
             widest = np.minimum(G[:, None, :], G[None, :, :]).max(axis=2)
             gap = max(gap, int((widest - G).max()))
         return Fraction(gap, 2) * self.rho0
@@ -528,10 +533,27 @@ class FiniteHypGraph(ActionSpace):
 def estimate_delta(space: FiniteHypGraph) -> Fraction:
     """The minimal delta satisfying the four-point condition over every
     vertex quadruple, recomputed exhaustively (construction already stores
-    it in `space.delta`; this is the query surface and the recheck)."""
+    it in `space.delta`; this is the query surface and the recheck).  It
+    shares no code with the construction's (max, min) scan: for each least
+    vertex w and x, y, z after it, it takes the three pairing sums
+    d(w,x) + d(y,z), d(w,y) + d(x,z), d(w,z) + d(x,y) directly and the gap
+    of the two largest, in O(n^3) memory per w."""
     if not isinstance(space, FiniteHypGraph):
         raise ValueError("estimate_delta is defined for finite graph backends")
-    value = space._four_point_delta()
+    import numpy as np
+
+    D = np.array(space._hops, dtype=np.int32)
+    gap = 0
+    for w in range(space.n - 3):
+        r, E = D[w, w + 1 :], D[w + 1 :, w + 1 :]
+        s1 = r[:, None, None] + E[None, :, :]
+        s2 = r[None, :, None] + E[:, None, :]
+        s3 = r[None, None, :] + E[:, :, None]
+        top = np.maximum(np.maximum(s1, s2), s3)
+        # the middle sum is the total less the largest and the least
+        middle = s1 + s2 + s3 - top - np.minimum(np.minimum(s1, s2), s3)
+        gap = max(gap, int((top - middle).max()))
+    value = Fraction(gap, 2) * space.rho0
     if value != space.delta:
         raise RuntimeError(
             f"stored delta {space.delta} differs from the recomputed {value}"

@@ -541,6 +541,7 @@ def assert_delta_matches_oracles(n, edges, rho0):
         [h * g.rho0 for h in row] for row in hops
     ]
     assert g.delta == pairing_sums_delta(hops, g.rho0) == oracle_four_point_delta(g)
+    assert estimate_delta(g) == g.delta
     return g
 
 
@@ -576,6 +577,7 @@ DELTA_FAMILIES = {
     **{f"star{n}": (n, [(0, i) for i in range(1, n)]) for n in (4, 9)},
     **{f"K{n}": (n, list(itertools.combinations(range(n), 2))) for n in (3, 4, 7)},
     **{f"C{n}": (n, _cycle(n)) for n in (3, 4, 5, 6, 7, 8, 9, 12, 13)},
+    "wheel4": (5, [(0, i) for i in range(1, 5)] + [(1, 2), (2, 3), (3, 4), (1, 4)]),
 }
 
 
@@ -585,6 +587,30 @@ def test_graph_family_delta_matches_both_oracles(family, rho0):
     g = assert_delta_matches_oracles(*DELTA_FAMILIES[family], rho0)
     if family.startswith(("single", "edge", "P", "star", "K")):
         assert g.delta == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(graph=connected_graphs(), data=st.data())
+def test_graph_delta_is_unchanged_by_relabelling(graph, data):
+    # the scan takes each quadruple at its least vertex, so a relabelling
+    # moves every quadruple to another base point
+    n, edges = graph
+    p = data.draw(st.permutations(range(n)))
+    moved = [(p[i], p[j]) for i, j in edges]
+    assert FiniteHypGraph(n, moved).delta == FiniteHypGraph(n, edges).delta
+
+
+def test_delta_at_the_ends_of_the_base_point_range():
+    # below four vertices the scan makes no pass, and C4's one quadruple is
+    # its one pass, at base point 0.  The 4-wheel's rim {1, 2, 3, 4} is its
+    # only quadruple of gap 2 (each one through the hub has gap 1): it sits
+    # at base point n - 4 and holds vertex n - 1, and without vertex 4 the
+    # hub and the path 1-2-3 give delta 1/2
+    for family in ("single", "edge", "P3", "K3", "C3"):
+        assert FiniteHypGraph(*DELTA_FAMILIES[family]).delta == 0
+    assert FiniteHypGraph(*DELTA_FAMILIES["C4"]).delta == 1
+    assert FiniteHypGraph(*DELTA_FAMILIES["wheel4"]).delta == 1
+    assert FiniteHypGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]).delta == Fraction(1, 2)
 
 
 def test_delta_memory_is_cubic():
@@ -675,6 +701,27 @@ def test_estimate_delta_rejects_a_wrong_stored_delta():
     c6.delta = Fraction(2)
     with pytest.raises(RuntimeError, match="stored delta 2"):
         estimate_delta(c6)
+
+
+def test_estimate_delta_does_not_reuse_the_construction_scan(monkeypatch):
+    monkeypatch.setattr(FiniteHypGraph, "_four_point_delta", lambda self: Fraction(7))
+    c6 = cycle_graph(6)
+    assert c6.delta == 7
+    with pytest.raises(RuntimeError, match="stored delta 7 differs from the recomputed 1"):
+        estimate_delta(c6)
+
+
+@pytest.mark.slow
+def test_stored_delta_matches_estimate_delta_on_large_graphs():
+    rng = random.Random(28)
+    for _ in range(100):
+        n = rng.randint(40, 64)
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        for _ in range(rng.randint(0, n)):
+            i, j = sorted(rng.sample(range(n), 2))
+            edges.add((i, j))
+        g = FiniteHypGraph(n, edges)
+        assert estimate_delta(g) == g.delta
 
 
 # ---------------------------------------------------------------------------
