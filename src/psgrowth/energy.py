@@ -88,42 +88,54 @@ def _descend(space: ActionSpace, U: ElementSet, x) -> tuple:
     """Steepest descent over tree vertices from x, one pass over U a step.
 
     Only the first steps toward the orbit points u x != x can lower the
-    energy.  The pass reads, for every u, the displacement d(x, ux) and the
-    first edges of [x, ux] and [x, u^-1 x] as one `orbit_prefix` with
-    k = 1, an edge count and two one-label heads, so no path is spelled;
-    the energy at each neighbour y
-    then follows from counts, since with edge length rho
+    energy.  The pass needs, for every u, the displacement d(x, ux) and the
+    first edges of [x, ux] and [x, u^-1 x].  All three are read from the
+    conjugate c_u = w^-1 u w alone (`read` with k = 1: an edge count and two
+    one-label heads), where w is x on F_2 and x's coset representative on
+    the Bass-Serre tree.  Each c_u is formed once, at the start (`conjugate`;
+    c_u = u at the base point), and carried from step to step: crossing to
+    the neighbour with representative w d (`cross`) turns it into
+    d^-1 c_u d (`GroupElement.conjugate_step`), with d one syllable, or
+    empty on a tag-only step from a representative 1.  So no orbit point
+    is formed and no path is spelled.  The energy at each neighbour y then
+    follows from counts, since with edge length rho
         d(y, uy) = d(x, ux) + 2 rho - 2 rho [y on [x, ux]] - 2 rho [y on [x, u^-1 x]]
     when u moves x, d(y, uy) = 2 rho when u != 1 fixes x, and 0 when u = 1
-    (neither tree action has inversions or nontrivial edge stabilisers).
-    Moves to the strictly lower neighbour of least (energy, point_key).
-    Returns (vertex, energy, displacement, steps)."""
+    (neither tree action has inversions or nontrivial edge stabilisers):
+    y is lower than x exactly when more than bump / 2 of those geodesics
+    run through it, for bump the +2 of every u != 1.  Moves to the strictly
+    lower neighbour of least (energy, point_key), that is of most such
+    geodesics, then least key.  The start is checked once (`check_point`):
+    the reads assume a canonical coset representative.  Returns (vertex,
+    energy, displacement, steps)."""
+    space.check_point(x)
+    read = space.read
+    conjugates = [space.conjugate(u, x) for u in U]
+    bump = 2 * sum(not u.is_identity for u in U)
     steps = 0
     while True:
         total = widest = 0
-        bump = 0  # sum over u != 1 of the +2 steps at a neighbour
         hits: dict = {}  # first edge label -> geodesics [x, ux], [x, u^-1 x] on it
-        toward: dict = {}  # first edge label of some [x, ux] -> that u
-        for u in U:
-            n, out, back = space.orbit_prefix(u, x, 1)
+        toward = set()  # first edge labels of the [x, ux]
+        for c in conjugates:
+            n, out, back = read(c, x, 1)
             if n:
                 total += n
-                widest = max(widest, n)
+                if n > widest:
+                    widest = n
                 hits[out[0]] = hits.get(out[0], 0) + 1
                 hits[back[0]] = hits.get(back[0], 0) + 1
-                toward.setdefault(out[0], u)
-            if not u.is_identity:
-                bump += 2
-        current = Fraction(total) * space.rho0 / len(U)
+                toward.add(out[0])
         options = []
-        for label, u in toward.items():
-            val = Fraction(total + bump - 2 * hits[label]) * space.rho0 / len(U)
-            if val < current:
-                cand = space.point_at(x, space.act(u, x), 1)
-                options.append((val, space.point_key(cand), cand))
+        for label in toward:
+            if 2 * hits[label] > bump:
+                y, d = space.cross(x, label)
+                options.append((-hits[label], space.point_key(y), y, d))
         if not options:
-            return x, current, widest * space.rho0, steps
-        _, _, x = min(options)
+            return x, Fraction(total) * space.rho0 / len(U), widest * space.rho0, steps
+        _, _, x, d = min(options)
+        if not d.is_identity:
+            conjugates = [c.conjugate_step(d) for c in conjugates]
         steps += 1
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from .energy import Case, EnergyProfile, Mode, classify, minimize_energy
 from .exactmath import log2_upper, to_float
-from .hypgeom import translation_length
+from .hypgeom import max_shared_prefix, translation_length
 from .periodicity import (
     BiPeriodicWitness,
     Refusal,
@@ -79,14 +79,14 @@ def virtually_cyclic_reason(space: ActionSpace, U: ElementSet) -> Optional[str]:
     nontrivial = [u for u in U if not u.is_identity]
     if not nontrivial:
         return "U contains only the identity"
-    hyp = [u for u in nontrivial if translation_length(space, u).is_hyperbolic]
-    if not hyp:
+    hyp = next((u for u in nontrivial if translation_length(space, u).is_hyperbolic), None)
+    if hyp is None:
         # all elliptic: common fixed vertex <=> zero energy at a vertex
         prof = minimize_energy(space, U)
         if prof.energy == 0:
             return "U fixes a vertex (elliptic subgroup)"
         return None
-    root, _ = primitive_root(hyp[0])
+    root, _ = primitive_root(hyp)
     if all(power_of(u, root) is not None for u in U):
         return f"all elements are powers of {root}"
     return None
@@ -314,15 +314,16 @@ def concentrated_pipeline(
             u2.append(u)
             taken_points.append(um)
 
-    # chain data: products (u v x0, u' v x0)_{x0} and (v^-1 x0, u v x0)_{x0},
-    # and the step lengths
-    pts = [space.act(u, vx0) for u in u2]
-    v_inv_x0 = space.act(v.inverse(), x0)
-    max_prod = max(
-        [space.gromov_product(p, q, x0) for p, q in itertools.combinations(pts, 2)]
-        + [space.gromov_product(v_inv_x0, p, x0) for p in pts]
+    # chain data: the products (u v x0, u' v x0)_{x0} and (v^-1 x0, u v x0)_{x0}
+    # and the step lengths, read from the edge labels of the steps at x0
+    # (`orbit_labels`): a product at x0 is the shared prefix of two label
+    # paths (`max_shared_prefix`, as in `certify_cross_products`), here of
+    # any two paths, so each is its own group, and a step is a path's length
+    paths = [space.orbit_labels(u * v, x0)[0] for u in u2]
+    max_prod = space.rho0 * max_shared_prefix(
+        [space.orbit_labels(v, x0)[1]], *([path] for path in paths)
     )
-    min_step = min(space.dist(x0, p) for p in [vx0] + pts)
+    min_step = min(disp[v], space.rho0 * min(map(len, paths)))
     alpha = min_step / 2 - max_prod
     ok = alpha > 0
 

@@ -67,8 +67,9 @@ class ActionSpace:
     kappa0: Fraction
     N0: int
     context: Optional[PresentationContext]
-    # the tree backends: delta = 0, and the tree-only methods `orbit_labels`,
-    # `orbit_prefix` and `point_at` exist
+    # the tree backends (`_TreeSpace`): delta = 0, and the tree-only methods
+    # `orbit_labels`, `orbit_prefix`, `conjugate`, `read`, `cross` and
+    # `point_at` exist
     is_tree = False
 
     # subclasses implement: hops, act, geodesic, basepoint, check_point,
@@ -114,10 +115,32 @@ class ActionSpace:
         return [seen[k] for k in sorted(seen)]
 
 
-class FreeGroupTree(ActionSpace):
-    """Cayley tree of a free group; vertices are the group elements."""
+class _TreeSpace(ActionSpace):
+    """What the two tree backends share: every orbit read is the `read` of
+    one `conjugate`, so there is one path reader per backend."""
 
     is_tree = True
+
+    def orbit_labels(self, g: GroupElement, x) -> tuple[tuple, tuple]:
+        """Edge labels of [x, g x] and of [x, g^-1 x] (`orbit_prefix` of
+        every label).  Two geodesics from x share exactly k edges when
+        their labels share a prefix of length k."""
+        return self.orbit_prefix(g, x, sys.maxsize)[1:]
+
+    def orbit_prefix(self, g: GroupElement, x, k: int) -> tuple[int, tuple, tuple]:
+        """`(n, out[:k], back[:k])` for `(out, back) = orbit_labels(g, x)`
+        and n = len(out) = hops(x, g x): the `read` of g's `conjugate` at x."""
+        return self.read(self.conjugate(g, x), x, k)
+
+    def _own(self, g: GroupElement) -> GroupElement:
+        """g, checked to be an element of this space's group."""
+        if g.context is not self.context and g.context != self.context:
+            raise ValueError("group element from a different context")
+        return g
+
+
+class FreeGroupTree(_TreeSpace):
+    """Cayley tree of a free group; vertices are the group elements."""
 
     def __init__(self, rank: int, rho0=1, kappa0=None, N0: int = 1):
         self.context = free_group(rank)
@@ -174,19 +197,26 @@ class FreeGroupTree(ActionSpace):
             k -= take
         return x * GroupElement(self.context, tuple(prefix))
 
-    def orbit_labels(self, g: GroupElement, x) -> tuple[tuple, tuple]:
-        """Edge labels of [x, g x] and of [x, g^-1 x]: the letters of
-        x^-1 g x and of its inverse (g x)^-1 x (`orbit_prefix` of every
-        label).  Two geodesics from x share exactly k edges when their
-        labels share a prefix of length k."""
-        return self.orbit_prefix(g, x, sys.maxsize)[1:]
+    def conjugate(self, g: GroupElement, x) -> GroupElement:
+        """x^-1 g x, whose letters label [x, g x] (`read`): g itself at the
+        identity, with no product formed, else read from the normal forms of
+        x and g x past their common prefix (`GroupElement.offset`)."""
+        if x.is_identity:
+            return self._own(g)
+        return x.offset(g * x)
 
-    def orbit_prefix(self, g: GroupElement, x, k: int) -> tuple[int, tuple, tuple]:
-        """`(n, out[:k], back[:k])` for `(out, back) = orbit_labels(g, x)`
-        and n = len(out) = hops(x, g x), read from the normal forms of x
-        and g x past their common prefix (`GroupElement.fork_letters_head`)
-        without spelling more of either path than its first k labels."""
-        return x.fork_letters_head(g * x, k)
+    def read(self, c: GroupElement, x, k: int) -> tuple[int, tuple, tuple]:
+        """`orbit_prefix` from the conjugate c = x^-1 g x, spelling no more
+        of either path than its first k labels
+        (`GroupElement.letters_head`); x names the vertex only."""
+        return c.letters_head(k)
+
+    def cross(self, x, label) -> tuple[GroupElement, GroupElement]:
+        """The neighbour y = x d of x across the edge whose `read` label is
+        `label`, with the letter d, which carries every conjugate at x to
+        its conjugate at y (`GroupElement.conjugate_step`)."""
+        d = GroupElement(self.context, (label,))
+        return x * d, d
 
     def translation_length(self, g: GroupElement) -> AxisData:
         """[g] exactly, via cyclic reduction: the axis segment is a
@@ -201,7 +231,7 @@ class FreeGroupTree(ActionSpace):
         return AxisData(g, length, True, tuple(self.geodesic(conj, end)), conj)
 
 
-class FreeProductTree(ActionSpace):
+class FreeProductTree(_TreeSpace):
     """Bass-Serre tree of a free product of two cyclic factors.
 
     Vertices are cosets w*G_tag encoded as (representative, tag) where the
@@ -209,8 +239,6 @@ class FreeProductTree(ActionSpace):
     Every edge has length rho0 and trivial stabilizer, so the action is
     (kappa, 1)-acylindrical for any kappa > 0.
     """
-
-    is_tree = True
 
     def __init__(self, orders, rho0=1, kappa0=None, N0: int = 1):
         orders = tuple(orders)
@@ -307,21 +335,23 @@ class FreeProductTree(ActionSpace):
         consumed = tuple(label for label in labels[:k] if label != TAG_STEP)
         return self.vertex(x[0] * GroupElement(self.context, consumed), x[1] ^ (k % 2))
 
-    def orbit_labels(self, g: GroupElement, x) -> tuple[tuple, tuple]:
-        """Edge labels of [x, g x] and of [x, g^-1 x], from the conjugate
-        w^-1 g w and its inverse (g w)^-1 w, where x = (w, tag)
-        (`orbit_prefix` of every label).  Two geodesics from x share
-        exactly k edges when their labels share a prefix of length k."""
-        return self.orbit_prefix(g, x, sys.maxsize)[1:]
+    def conjugate(self, g: GroupElement, x) -> GroupElement:
+        """c = w^-1 g w for x = (w, tag), whose syllables label [x, g x]
+        (`read`): g itself at a vertex (1, tag), with no product formed,
+        else read from the normal forms of w and g w past their common
+        prefix (`GroupElement.offset`)."""
+        w = x[0]
+        if w.is_identity:
+            return self._own(g)
+        return w.offset(g * w)
 
-    def orbit_prefix(self, g: GroupElement, x, k: int) -> tuple[int, tuple, tuple]:
-        """`(n, out[:k], back[:k])` for `(out, back) = orbit_labels(g, x)`
-        and n = len(out) = hops(x, g x), from the syllable count of
-        c = w^-1 g w and the first k + 1 syllables of c and of c^-1
-        (`GroupElement.fork_head`).  `_labels` of a head drops at most its
+    def read(self, c: GroupElement, x, k: int) -> tuple[int, tuple, tuple]:
+        """`orbit_prefix` from the conjugate c = w^-1 g w at x = (w, tag):
+        the syllable count of c and the first k + 1 syllables of c and of
+        c^-1 (`GroupElement.head`).  `_labels` of a head drops at most its
         last syllable, which no label of the first k reads."""
-        w, tag = x
-        count, there, back = w.fork_head(g * w, k + 1)
+        tag = x[1]
+        count, there, back = c.head(k + 1)
         if not count:
             return 0, (), ()
         # c^-1 begins in the factor that c ends in; a last syllable of the
@@ -331,6 +361,18 @@ class FreeProductTree(ActionSpace):
         if n:
             n += there[0][0] != tag
         return n, self._labels(tag, there, tag)[:k], self._labels(tag, back, tag)[:k]
+
+    def cross(self, x, label) -> tuple[tuple, GroupElement]:
+        """The neighbour y of x = (w, tag) across the edge whose `read`
+        label is `label`, with the d that carries w to y's representative
+        w d, and so every conjugate at x to its conjugate at y
+        (`GroupElement.conjugate_step`).  A syllable label is d itself.  A
+        tag-only step keeps the coset representative at w = 1, where d is
+        empty; a longer w ends in the other factor, and y's representative
+        drops that last syllable: d is the first syllable of w^-1."""
+        w, tag = x
+        d = GroupElement(self.context, w.head(1)[2] if label == TAG_STEP else (label,))
+        return (w * d, 1 - tag), d
 
     def translation_length(self, g: GroupElement) -> AxisData:
         """[g] exactly, via cyclic reduction: an elliptic g fixes a vertex;

@@ -157,30 +157,38 @@ class GroupElement:
         r, s = self._forked(other)
         return _element(self.context, _over(_orders(self.context), r, s))
 
-    def fork_head(self, other: "GroupElement", m: int) -> tuple[int, tuple, tuple]:
-        """The syllable count of self^-1 * other with the first m syllables
-        of it and of other^-1 * self, read from at most m + 1 syllables of
-        each `_fork` remainder.  In a tree they label the paths from self
-        to other and back, one syllable at a time."""
-        r, s = self._forked(other)
-        orders = _orders(self.context)
-        merged = r and s and r[0][0] == s[0][0]
-        return len(r) + len(s) - bool(merged), _over(orders, r, s, m), _over(orders, s, r, m)
-
     def offset_length(self, other: "GroupElement") -> int:
         """In a free group, the letter count of self^-1 * other (`_span`),
         with no letter spelled and no offset built."""
         return _span(*self._forked(other))
 
-    def fork_letters_head(self, other: "GroupElement", k: int) -> tuple[int, tuple, tuple]:
-        """In a free group, `offset_length` with the first k letters of
-        self^-1 * other and of other^-1 * self: the length of the paths
-        from self to other and back in the Cayley tree, and the first k edge
-        labels (gen, +1/-1) of each, spelled from its first k syllables."""
-        r, s = self._forked(other)
-        orders = _orders(self.context)
-        there, back = _over(orders, r, s, k), _over(orders, s, r, k)
-        return _span(r, s), _letters(there)[:k], _letters(back)[:k]
+    def head(self, m: int) -> tuple[int, tuple, tuple]:
+        """The syllable count with the first m syllables of self and of
+        self^-1, the latter read from the last m syllables alone (`_over`).
+        For a conjugate w^-1 g w they label the paths in a tree from w's
+        vertex to its image under g and back, one syllable at a time."""
+        s = self.syllables
+        return len(s), s[:m], _over(_orders(self.context), s, (), m)
+
+    def letters_head(self, k: int) -> tuple[int, tuple, tuple]:
+        """In a free group, the letter count with the first k letters
+        (gen, +1/-1) of self and of self^-1, spelled from their first k
+        syllables: for x^-1 g x, the length of the paths from x to g x and
+        back in the Cayley tree, and the first k edge labels of each."""
+        s = self.syllables
+        back = _over(_orders(self.context), s, (), k)
+        return _span(s, ()), _letters(s[:k])[:k], _letters(back)[:k]
+
+    def conjugate_step(self, d: "GroupElement") -> "GroupElement":
+        """d^-1 * self * d, by `_over` and one junction (`_join`) with no
+        element built between them: it carries a conjugate w^-1 g w to
+        (w d)^-1 g (w d), in a tree across the one-syllable d of an edge."""
+        ctx = self.context
+        if d.context is not ctx and d.context != ctx:
+            raise ValueError("context mismatch")
+        return _element(
+            ctx, _join(ctx.orders, _over(_orders(ctx), d.syllables, self.syllables), d.syllables)
+        )
 
     def __pow__(self, k: int) -> "GroupElement":
         if k < 0:
@@ -323,7 +331,8 @@ def _fork(a: tuple, b: tuple) -> tuple[tuple, tuple]:
 
 def _over(orders: tuple, r: tuple, s: tuple, m: int = sys.maxsize) -> tuple:
     """The first m syllables (all by default) of r^-1 s, for two `_fork`
-    remainders r and s or for s = () (r^-1 alone).
+    remainders r and s or for s = () (r^-1 alone); with no bound m, for
+    any two normal forms, since `_join` then cancels all it has to.
 
     This is the package's one inverse rule: r's syllables from the last,
     each inverted in its factor (`orders` is `_orders` of the context).

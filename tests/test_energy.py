@@ -137,6 +137,14 @@ WORD = st.text(alphabet="abAB", max_size=8)
 @example(tree="Z5*Z7", texts=["1"], shift="", start="ba", extras={"elliptic"})
 @example(tree="Z5*Z7", texts=["ab"], shift="ba", start="b", extras={"identity", "short"})
 @example(tree="F2", texts=["aab"], shift="bA", start="Ab", extras={"identity", "short"})
+# six steps from the base point, and seven from a start off it
+@example(tree="F2", texts=["ab", "ba", "AB", "BA"], shift="aabbab", start="", extras=set())
+@example(tree="F2", texts=["ab", "ba", "AB", "BA"], shift="aabbaB", start="b", extras=set())
+# eight steps from the base point, the first across a tag-only edge
+@example(tree="Z5*Z7", texts=["ab", "ba", "aab"], shift="babababa", start="", extras=set())
+# seven steps from a start off the base point, with tag-only steps from
+# representatives that drop their last syllable
+@example(tree="Z5*Z7", texts=["ab", "ba", "aab"], shift="ab", start="babab", extras=set())
 def test_descent_matches_geodesic_oracle(tree, texts, shift, start, extras):
     # the counting descent must reproduce the geodesic descent exactly:
     # the same base point, energy, displacement and number of steps
@@ -161,6 +169,58 @@ def test_descent_matches_geodesic_oracle(tree, texts, shift, start, extras):
         prof.displacement,
         prof.descent_steps,
     ) == geodesic_descent(space, U, x)
+
+
+def random_word(rng, space, length):
+    """A random reduced word of `length` letters on F_2, a random string of
+    `length` letters a, b, A, B on the Bass-Serre tree."""
+    if isinstance(space, FreeGroupTree):
+        return random_reduced_word(rng, space.context, length)
+    return w(space, "".join(rng.choice("abAB") for _ in range(length)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("tree", sorted(TREES))
+def test_descent_matches_geodesic_oracle_on_large_conjugated_sets(tree):
+    # 100 seeded sets of 50..400 elements, conjugated by words of 8..16
+    # letters so that the minimiser lies far from the base point; every
+    # other descent starts at the image of the base point under a word of
+    # up to 6 letters
+    space = TREES[tree]
+    ctx = space.context
+    rng = random.Random(f"descent:{tree}")
+    for i in range(100):
+        h = random_word(rng, space, rng.randint(8, 16))
+        size = rng.randint(50, 400)
+        members = set()
+        while len(members) < size:
+            members.add(random_word(rng, space, rng.randint(1, 10)).conjugate_by(h))
+        U = ElementSet(ctx, members)
+        x = space.basepoint()
+        if i % 2:
+            x = space.act(random_word(rng, space, rng.randint(1, 6)), x)
+        prof = minimize_energy(space, U, start=x)
+        assert (
+            prof.base_point,
+            prof.energy,
+            prof.displacement,
+            prof.descent_steps,
+        ) == geodesic_descent(space, U, x), (tree, i)
+
+
+def test_descent_rejects_a_start_that_is_not_a_vertex(f2_tree, z5z7_tree):
+    # the descent reads every orbit from the start's coset representative,
+    # so a representative that ends in the tag's own factor, or a point of
+    # another space, is refused before any step, even where no step follows
+    U = eset(z5z7_tree, "1")
+    for bad in ((w(z5z7_tree, "a"), 0), (w(z5z7_tree, "ab"), 1), w(z5z7_tree, "a"),
+                w(f2_tree, "a")):
+        with pytest.raises(ValueError):
+            minimize_energy(z5z7_tree, U, start=bad)
+    with pytest.raises(ValueError):
+        minimize_energy(f2_tree, eset(f2_tree, "ab"), start=(w(f2_tree, "a"), 0))
+    with pytest.raises(ValueError):
+        minimize_energy(f2_tree, eset(f2_tree, "ab"), start=w(z5z7_tree, "a"))
 
 
 def test_minimize_energy_graph_exhaustive():

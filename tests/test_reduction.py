@@ -10,7 +10,7 @@ from psgrowth.energy import minimize_energy
 from psgrowth.periodicity import pingpong_certify
 from psgrowth.reduction import certify_cross_products, median_split, reduce_tree, reduced_at
 from psgrowth.spaces import FreeGroupTree
-from psgrowth.words import ElementSet, random_reduced_word, safin_family
+from psgrowth.words import ElementSet, GroupElement, random_reduced_word, safin_family
 
 from conftest import TREES, ball, w
 
@@ -382,7 +382,7 @@ def test_every_reduction_exit(case):
 
 
 def counting(monkeypatch, cls, names) -> Counter:
-    """Count the calls of the named methods of a backend class."""
+    """Count the calls of the named methods of a class."""
     calls = Counter()
     for name in names:
         def counted(*args, _name=name, _method=getattr(cls, name), **kwargs):
@@ -394,11 +394,14 @@ def counting(monkeypatch, cls, names) -> Counter:
 
 @pytest.mark.parametrize("tree", sorted(TREES))
 def test_tree_certificates_read_prefixes_not_whole_paths(tree, monkeypatch):
-    # the descent reads one `orbit_prefix` per element a pass, the peel one
-    # per element; only `certify_cross_products` spells whole label paths,
-    # once per element of U1 and U2; ping-pong's chain maximum reads the
-    # labels of its 15 steps and forms no Gromov product.  Each
-    # `orbit_labels` is one `orbit_prefix` with no bound on k
+    # the descent forms each element's conjugate once, at its start (none
+    # at the base point, where it is the element), reads one head of it per
+    # element a pass and conjugates it by one syllable a step, forming no
+    # orbit point; the peel reads one `orbit_prefix` per element; only
+    # `certify_cross_products` spells whole label paths, once per element
+    # of U1 and U2; ping-pong's chain maximum reads the labels of its 15
+    # steps and forms no Gromov product.  Each `orbit_labels` is one
+    # `orbit_prefix` with no bound on k
     space = TREES[tree]
     ctx = space.context
     rng = random.Random(64)
@@ -409,13 +412,33 @@ def test_tree_certificates_read_prefixes_not_whole_paths(tree, monkeypatch):
                  for _ in range(80)}
     conjugator = w(space, "aab")  # moves the minimiser off the basepoint
     U = ElementSet(ctx, [u.conjugate_by(conjugator) for u in drawn])
-    calls = counting(monkeypatch, type(space), ("orbit_labels", "orbit_prefix", "gromov_product"))
+    calls = counting(monkeypatch, type(space), ("orbit_labels", "orbit_prefix", "read", "act",
+                                                "point_at", "gromov_product"))
+    words = counting(monkeypatch, GroupElement, ("offset", "conjugate_step"))
 
     prof = minimize_energy(space, U)
-    assert prof.descent_steps > 0
-    assert calls == {"orbit_prefix": len(U) * (prof.descent_steps + 1)}
+    steps = prof.descent_steps
+    assert steps > 0
+    assert calls == {"read": len(U) * (steps + 1)}
+    # a tag-only step from the base point's representative 1 conjugates by
+    # nothing, so the Bass-Serre descent may skip a step's conjugations
+    assert set(words) == {"conjugate_step"}
+    assert words["conjugate_step"] % len(U) == 0
+    if tree == "F2":
+        assert words["conjugate_step"] == len(U) * steps
+    else:
+        assert len(U) <= words["conjugate_step"] <= len(U) * steps
 
     calls.clear()
+    words.clear()
+    again = minimize_energy(space, U, start=prof.base_point)
+    assert (again.base_point, again.energy, again.descent_steps) == (
+        prof.base_point, prof.energy, 0)
+    assert calls == {"read": len(U)}
+    assert words == {"offset": len(U)}
+
+    monkeypatch.undo()
+    calls = counting(monkeypatch, type(space), ("orbit_labels", "orbit_prefix", "gromov_product"))
     res = reduce_tree(space, U, prof.base_point, space.rho0)
     assert res.certified
     whole = len(set(res.u1) | set(res.u2))

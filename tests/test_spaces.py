@@ -911,19 +911,26 @@ def test_syllable_tuples_stay_inside_words():
 
 def test_tree_hot_paths_take_no_inverse():
     # hops, orbit labels, orbit prefixes and paths read x^-1 y off the two
-    # normal forms (`GroupElement.offset`, `offset_length`, `fork_head` and
-    # `fork_letters_head`); no element inverse comes back to the trees'
-    # hottest calls
+    # normal forms (`GroupElement.offset` and `offset_length`), and the
+    # orbit reads and the descent's steps read heads of one conjugate
+    # (`GroupElement.head` and `letters_head`); no element inverse comes
+    # back to the trees' hottest calls
     found = {
         f"{cls.__name__}.{name}": lines
         for cls, name in (
             (FreeGroupTree, "hops"),
             (FreeGroupTree, "orbit_labels"),
             (FreeGroupTree, "orbit_prefix"),
+            (FreeGroupTree, "conjugate"),
+            (FreeGroupTree, "read"),
+            (FreeGroupTree, "cross"),
             (FreeProductTree, "hops"),
             (FreeProductTree, "_path"),
             (FreeProductTree, "orbit_labels"),
             (FreeProductTree, "orbit_prefix"),
+            (FreeProductTree, "conjugate"),
+            (FreeProductTree, "read"),
+            (FreeProductTree, "cross"),
         )
         if (lines := name_reads(textwrap.dedent(inspect.getsource(getattr(cls, name))),
                                 {"inverse"}))

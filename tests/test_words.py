@@ -227,18 +227,36 @@ def test_products_and_inverses_are_in_normal_form(name, x, y):
 @example("F2", "abA", "abB", 2)
 @example("F2", "ab", "ab", 0)
 def test_fork_reads_are_heads_of_the_offsets(name, x, y, m):
-    # x^-1 y and y^-1 x read past the common prefix of x and y, whole and
-    # cut to their first m syllables (first m letters in a free group),
-    # against the products of inverses
+    # x^-1 y read past the common prefix of x and y, and the head reads of
+    # it and of its inverse y^-1 x, cut to their first m syllables (first m
+    # letters in a free group), against the products of inverses
     ctx = ALL_CONTEXTS[name]
     gx, gy = parse(ctx, x), parse(ctx, y)
     there, back = gx.inverse() * gy, gy.inverse() * gx
     assert gx.offset(gy) == there
-    assert gx.fork_head(gy, m) == (there.syllable_count, there.syllables[:m], back.syllables[:m])
+    assert there.head(m) == (there.syllable_count, there.syllables[:m], back.syllables[:m])
     if ctx.kind == "free":
         assert gx.offset_length(gy) == there.word_length()
-        assert gx.fork_letters_head(gy, m) == (
+        assert there.letters_head(m) == (
             there.word_length(), there.letters()[:m], back.letters()[:m])
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.sampled_from(sorted(ALL_CONTEXTS)), fp_texts, fp_texts)
+@example("Z/5*Z/7", "aab", "a")  # d^-1 merges into the first syllable
+@example("Z/5*Z/7", "ab", "b")  # d cancels the last syllable
+@example("F2", "A", "a")  # the conjugate of a^-1 by a is itself
+@example("F2", "abAB", "abA")  # d^-1 cancels all of c
+def test_conjugate_step_is_the_conjugate(name, x, y):
+    # d^-1 c d for d = y and for its first syllable, against the products
+    ctx = ALL_CONTEXTS[name]
+    c, gy = parse(ctx, x), parse(ctx, y)
+    for d in (gy, GroupElement(ctx, gy.syllables[:1])):
+        stepped = c.conjugate_step(d)
+        assert stepped == d.inverse() * c * d
+        assert_normal_form(stepped)
+    with pytest.raises(ValueError):
+        c.conjugate_step(parse(F2 if ctx != F2 else Z5Z7, "a"))
 
 
 def test_equal_syllables_in_two_contexts_stay_apart():
