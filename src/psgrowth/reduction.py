@@ -90,15 +90,19 @@ def certify_cross_products(
 
     The product of two points at the common base is the number of edges
     their geodesics from x0 share, which is the common prefix of their edge
-    labels (`orbit_labels`).  Each family's maximum is then read from
-    neighbours in one sorted order of its labels, in O(k log k) for k
-    elements, rather than pair by pair."""
-    labels: dict = {}
-    for u in chain(U1, U2):
-        if u not in labels:
-            labels[u] = space.orbit_labels(u, x0)
-    m1 = max_shared_prefix([labels[u][1] for u in U1], [labels[v][0] for v in U2])
-    m2 = max_shared_prefix([labels[v][1] for v in U2], [labels[u][0] for u in U1])
+    labels (`orbit_labels`), read once per distinct element.  Each family's
+    maximum is then read from neighbours in one sorted order of its labels,
+    in O(k log k) for k elements, rather than pair by pair.  When U2 is U1
+    the two families are one."""
+    first = [space.orbit_labels(u, x0) for u in U1]
+    if U2 is U1:
+        # both families are (u^-1 x0, v x0) over u, v in U1
+        m1 = m2 = max_shared_prefix([back for _, back in first], [out for out, _ in first])
+    else:
+        read = dict(zip(U1, first))
+        second = [read[v] if v in read else space.orbit_labels(v, x0) for v in U2]
+        m1 = max_shared_prefix([back for _, back in first], [out for out, _ in second])
+        m2 = max_shared_prefix([back for _, back in second], [out for out, _ in first])
     maxima = {
         "u1_inv_vs_u2": m1 * space.rho0,
         "u2_inv_vs_u1": m2 * space.rho0,
@@ -107,20 +111,20 @@ def certify_cross_products(
     return ok, maxima
 
 
-def _peel(keyed: dict, U_size: int):
+def _peel(qualifying: list, keyed: list, U_size: int):
     """The A/B peeling recursion over the hit sphere points S'.
 
-    `keyed` maps each qualifying u, in qualifying order, to the keys of the
-    sphere points of its two directions.  The partition state (A, B disjoint
-    with union S') is rebuilt from the membership definitions every round;
+    `keyed` holds the keys of the sphere points of the two directions of
+    each qualifying u, in the order of `qualifying`.  The partition state (A, B disjoint with
+    union S') is rebuilt from the membership definitions every round;
     stops at the first round where a cross family exceeds |U|/100, else at
     the first round where U_{B,B} crosses |U|/100.  Peeling order: smallest
     sphere-point key first."""
-    sphere_pts = sorted({y for y, _ in keyed.values()} | {z for _, z in keyed.values()})
+    sphere_pts = sorted({y for y, _ in keyed} | {z for _, z in keyed})
     hundredth = Fraction(U_size, 100)
 
     def members(A, B):
-        return [u for u, (y, z) in keyed.items() if y in A and z in B]
+        return [u for u, (y, z) in zip(qualifying, keyed) if y in A and z in B]
 
     A = set(sphere_pts)
     B: set = set()
@@ -178,8 +182,8 @@ def reduce_tree(
         4 * r if hypothesis_displacement is None else Fraction(hypothesis_displacement)
     )
     floor_steps = math.ceil(floor / space.rho0)
-    heads = {u: space.orbit_prefix(u, x0, r_steps) for u in U}
-    above_floor = sum(1 for n, _, _ in heads.values() if n >= floor_steps)
+    heads = [space.orbit_prefix(u, x0, r_steps) for u in U]
+    above_floor = sum(1 for n, _, _ in heads if n >= floor_steps)
     if 4 * above_floor < 3 * len(U):
         return _failed(
             ctx,
@@ -188,7 +192,7 @@ def reduce_tree(
             above_floor=above_floor,
             total=len(U),
         )
-    qualifying = [u for u in U if heads[u][0] >= 4 * r_steps]
+    qualifying = [(u, out, back) for u, (n, out, back) in zip(U, heads) if n >= 4 * r_steps]
     if not qualifying:
         return _failed(ctx, r, "NothingAboveFourR", total=len(U))
 
@@ -203,13 +207,11 @@ def reduce_tree(
             keys[prefix] = space.point_key(point)
         return keys[prefix]
 
-    keyed = {
-        u: (key(heads[u][1], u, False), key(heads[u][2], u, True)) for u in qualifying
-    }
+    keyed = [(key(out, u, False), key(back, u, True)) for u, out, back in qualifying]
 
     # minimal-energy sanity: no single sphere point dominates both sides
     per_point: dict = {}
-    for y, z in keyed.values():
+    for y, z in keyed:
         if y == z:
             per_point[y] = per_point.get(y, 0) + 1
     for y, count in per_point.items():
@@ -223,7 +225,7 @@ def reduce_tree(
                 total=len(U),
             )
 
-    u1, u2, trace, how = _peel(keyed, len(U))
+    u1, u2, trace, how = _peel([u for u, _, _ in qualifying], keyed, len(U))
     if not u1 or not u2:
         return _failed(ctx, r, "PeelingExhausted", rounds=len(trace))
     U1 = ElementSet(ctx, u1)

@@ -310,7 +310,24 @@ class FreeProductTree(_TreeSpace):
         return self._labels(x[1], x[0].offset(y[0]).syllables, y[1])
 
     def hops(self, x, y) -> int:
-        return len(self._path(x, y))
+        """`len(_path(x, y))`, counted from the `_fork` remainders r, s of the
+        two representatives with no offset built: r^-1 s has len(r) + len(s)
+        syllables, less one when r and s begin in one factor and merge, and
+        begins in r's last factor and ends in s's last (in r's first when s
+        is empty).  `_labels` then drops a last syllable of y's tag and adds
+        a tag-only edge before a first one not of x's tag."""
+        self.check_point(x)
+        self.check_point(y)
+        (v, tag), (w, end) = x, y
+        r, s = v._forked(w)
+        if not r and not s:
+            return int(tag != end)
+        n = len(r) + len(s) - (bool(r) and bool(s) and r[0][0] == s[0][0])
+        if (s[-1][0] if s else r[0][0]) == end:
+            n -= 1
+            if not n:
+                return int(tag != end)
+        return n + ((r[-1][0] if r else s[0][0]) != tag)
 
     # each backend binds the one `dist` in its own namespace, where perfbench's
     # traced run counts calls per backend class

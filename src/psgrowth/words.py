@@ -171,24 +171,36 @@ class GroupElement:
         return len(s), s[:m], _over(_orders(self.context), s, (), m)
 
     def letters_head(self, k: int) -> tuple[int, tuple, tuple]:
-        """In a free group, the letter count with the first k letters
-        (gen, +1/-1) of self and of self^-1, spelled from their first k
-        syllables: for x^-1 g x, the length of the paths from x to g x and
-        back in the Cayley tree, and the first k edge labels of each."""
+        """In a free group, the letter count (`_span`) with the first k
+        letters (gen, +1/-1) of self and of self^-1: for x^-1 g x, the
+        length of the paths from x to g x and back in the Cayley tree, and
+        the first k edge labels of each.  At k = 1 the two letters are the
+        signs of the first and the last syllable; other k spell the first k
+        syllables of each (`_over`, `_letters`)."""
         s = self.syllables
+        if k == 1 and s:
+            (g, e), (h, f) = s[0], s[-1]
+            return _span(s, ()), _RISE[g] if e > 0 else _FALL[g], _FALL[h] if f > 0 else _RISE[h]
         back = _over(_orders(self.context), s, (), k)
         return _span(s, ()), _letters(s[:k])[:k], _letters(back)[:k]
 
     def conjugate_step(self, d: "GroupElement") -> "GroupElement":
-        """d^-1 * self * d, by `_over` and one junction (`_join`) with no
-        element built between them: it carries a conjugate w^-1 g w to
-        (w d)^-1 g (w d), in a tree across the one-syllable d of an edge."""
+        """d^-1 * self * d by two junctions (`_join`) with no element built
+        between them: it carries a conjugate w^-1 g w to (w d)^-1 g (w d), in
+        a tree across the one-syllable d of an edge, whose inverse is the
+        one syllable of d's exponent negated in its factor.  A longer d is
+        inverted by `_over`."""
         ctx = self.context
         if d.context is not ctx and d.context != ctx:
             raise ValueError("context mismatch")
-        return _element(
-            ctx, _join(ctx.orders, _over(_orders(ctx), d.syllables, self.syllables), d.syllables)
-        )
+        orders, ds = ctx.orders, d.syllables
+        if len(ds) == 1:
+            g, e = ds[0]
+            n = orders[g] if orders else None
+            inverse = ((g, -e if n is None else n - e),)
+        else:
+            inverse = _over(_orders(ctx), ds, ())
+        return _element(ctx, _join(orders, _join(orders, inverse, self.syllables), ds))
 
     def __pow__(self, k: int) -> "GroupElement":
         if k < 0:
@@ -230,9 +242,6 @@ class GroupElement:
 
     def first_factor(self) -> Optional[int]:
         return self.syllables[0][0] if self.syllables else None
-
-    def last_factor(self) -> Optional[int]:
-        return self.syllables[-1][0] if self.syllables else None
 
     # -- ordering / serialization ------------------------------------------
 

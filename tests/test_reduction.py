@@ -444,6 +444,11 @@ def test_tree_certificates_read_prefixes_not_whole_paths(tree, monkeypatch):
     whole = len(set(res.u1) | set(res.u2))
     assert calls == {"orbit_prefix": len(U) + whole, "orbit_labels": whole}
 
+    # a pair whose second set is the first reads each element's labels once
+    calls.clear()
+    certify_cross_products(space, res.u1, res.u1, prof.base_point, space.rho0)
+    assert calls == {"orbit_prefix": len(res.u1), "orbit_labels": len(res.u1)}
+
     calls.clear()
     root = w(space, "ab")
     V = ElementSet(ctx, [root**10, root**20, root**30])

@@ -911,7 +911,8 @@ def test_syllable_tuples_stay_inside_words():
 
 def test_tree_hot_paths_take_no_inverse():
     # hops, orbit labels, orbit prefixes and paths read x^-1 y off the two
-    # normal forms (`GroupElement.offset` and `offset_length`), and the
+    # normal forms (`GroupElement.offset`, `offset_length`, and on the
+    # Bass-Serre tree the `_fork` remainders that hops counts), and the
     # orbit reads and the descent's steps read heads of one conjugate
     # (`GroupElement.head` and `letters_head`); no element inverse comes
     # back to the trees' hottest calls

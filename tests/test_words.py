@@ -226,6 +226,15 @@ def test_products_and_inverses_are_in_normal_form(name, x, y):
 @example("Z/5*Z/7", "abab", "abaab", 1)  # remainders a^1 and a^2 merge
 @example("F2", "abA", "abB", 2)
 @example("F2", "ab", "ab", 0)
+@example("F2", "ab", "ab", 1)  # the identity, at the one-letter read
+@example("Z/5*Z/7", "", "", 1)
+@example("F2", "", "aaa", 1)  # one syllable: both letters from it
+@example("F2", "b", "bA", 1)  # one letter
+@example("Z/5*Z/7", "", "bbb", 1)
+@example("F2", "a", "bAA", 0)  # k = 0
+@example("F2", "", "abb", 4)  # k past the syllable and the letter counts
+@example("Z/5*Z/7", "", "ab", 3)
+@example("F2", "Ab", "aaBa", 1)  # the first and last syllables of opposite signs
 def test_fork_reads_are_heads_of_the_offsets(name, x, y, m):
     # x^-1 y read past the common prefix of x and y, and the head reads of
     # it and of its inverse y^-1 x, cut to their first m syllables (first m
@@ -247,6 +256,15 @@ def test_fork_reads_are_heads_of_the_offsets(name, x, y, m):
 @example("Z/5*Z/7", "ab", "b")  # d cancels the last syllable
 @example("F2", "A", "a")  # the conjugate of a^-1 by a is itself
 @example("F2", "abAB", "abA")  # d^-1 cancels all of c
+@example("F2", "", "ab")  # the identity, conjugated
+@example("Z/5*Z/7", "ab", "")  # conjugated by the identity
+@example("Z/5*Z/7", "bb", "a")  # one syllable of another factor
+@example("Z/5*Z/7", "aaa", "a")  # d^-1 and d merge into c's one syllable
+@example("F2", "aaa", "A")
+@example("Z*Z/3", "a", "a")
+@example("Z/5*Z/7", "ab", "a")  # a^4 a wraps to 0 at the front
+@example("Z/5*Z/7", "baaaa", "a")  # a^4 a wraps to 0 at the back
+@example("Z*Z/3", "bbab", "bb")  # b b^2 wraps to 0 at both ends
 def test_conjugate_step_is_the_conjugate(name, x, y):
     # d^-1 c d for d = y and for its first syllable, against the products
     ctx = ALL_CONTEXTS[name]
@@ -257,6 +275,29 @@ def test_conjugate_step_is_the_conjugate(name, x, y):
         assert_normal_form(stepped)
     with pytest.raises(ValueError):
         c.conjugate_step(parse(F2 if ctx != F2 else Z5Z7, "a"))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(ALL_CONTEXTS))
+def test_tree_reads_match_the_products_on_random_words(name):
+    # 10^4 seeded words per context: each conjugate step by one random
+    # syllable against d^-1 c d, and the head reads at k = 0, 1 and a
+    # random k against the inverse and the letters
+    ctx = ALL_CONTEXTS[name]
+    rng = random.Random(f"reads:{name}")
+    for _ in range(10_000):
+        c = parse(ctx, "".join(rng.choice("abAB") for _ in range(rng.randint(0, 24))))
+        gen = rng.randrange(2)
+        n = ctx.order_of(gen)
+        e = rng.randrange(1, n) if n is not None else rng.choice((-3, -2, -1, 1, 2, 3))
+        d = GroupElement(ctx, ((gen, e),))
+        assert c.conjugate_step(d) == d.inverse() * c * d
+        inverse = c.inverse()
+        for k in (0, 1, rng.randint(2, 26)):
+            assert c.head(k) == (c.syllable_count, c.syllables[:k], inverse.syllables[:k])
+            if ctx.kind == "free":
+                assert c.letters_head(k) == (
+                    c.word_length(), c.letters()[:k], inverse.letters()[:k])
 
 
 def test_equal_syllables_in_two_contexts_stay_apart():
@@ -299,7 +340,7 @@ def test_cyclic_reduce_free_product():
     g = parse(Z2Z3, "bab")  # t s t, conjugate of (t^2 s t t^-2)... reduce ends
     core, conj = cyclic_reduce(g)
     assert conj * core * conj.inverse() == g
-    assert core.first_factor() != core.last_factor() or core.syllable_count <= 1
+    assert core.first_factor() != core.inverse().first_factor() or core.syllable_count <= 1
 
 
 @given(st.text(alphabet="abAB", min_size=1, max_size=14))
@@ -320,7 +361,7 @@ def test_cyclic_reduce_recomposes_in_every_context(name, x):
     assert_normal_form(core)
     assert_normal_form(conj)
     assert conj * core * conj.inverse() == g
-    assert core.syllable_count <= 1 or core.first_factor() != core.last_factor()
+    assert core.syllable_count <= 1 or core.first_factor() != core.inverse().first_factor()
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +459,7 @@ def test_free_group_reduction_matches_the_letter_oracle(case):
         return
     conj, core_letters, period, k = letter_root(text)
     assert core.word_length() == len(core_letters)
-    assert core.syllable_count <= 1 or core.first_factor() != core.last_factor()
+    assert core.syllable_count <= 1 or core.first_factor() != core.inverse().first_factor()
     length = FreeGroupTree(rank).translation_length(g).translation_length
     assert length == len(core_letters)
     c = parse(ctx, letter_word(conj))
